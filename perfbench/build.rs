@@ -1,0 +1,18 @@
+//! Records the compiler version for the benchmark's environment line.
+
+use std::process::Command;
+
+fn main() {
+    // Without this, any file written under the package (traces, the lock file) would rerun
+    // the script and rebuild the benchmark on the next `cargo run`.
+    println!("cargo:rerun-if-changed=build.rs");
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+}
