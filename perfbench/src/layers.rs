@@ -138,8 +138,11 @@ const WARM_CYCLES: usize = 4;
 const MEASURED_CYCLES: usize = 8;
 
 /// Run the three parts of a mixed-gossip cycle separately at `config`'s size and gossip
-/// parameters, sized and bootstrapped exactly as `MixedGossip::new` does.  Local loads are
-/// redrawn every cycle, as a busy grid's would change.
+/// parameters, sized and bootstrapped exactly as `MixedGossip::new` does and fed what
+/// `MixedGossip::run_cycle` is fed: every node's slots and capacity.  Local loads and
+/// landmark bandwidths are drawn at random instead of simulated, the loads afresh every
+/// cycle, as a busy grid's would change.  The replay mirrors `MixedGossip` as it is; a
+/// change to how a gossip cycle is composed must change this replay with it.
 pub fn replay_gossip(config: &GridConfig, tracer: &mut Tracer) -> GossipReplay {
     let n = config.nodes;
     let g = config.gossip;
@@ -177,26 +180,33 @@ pub fn replay_gossip(config: &GridConfig, tracer: &mut Tracer) -> GossipReplay {
     let mut agg_bandwidth = AggregationGossip::new(n, agg);
 
     let mut local_rng = SimRng::seed_from_u64(config.seed).derive("perfbench-gossip-local");
+    // Per-slot capacities and slot counts from the streams `Scenario::build` draws them
+    // from.  A node advertises all its slots combined and feeds its per-slot rate into the
+    // capacity average, as the engine's gossip cycle does.
     let mut cap_rng = stream(config, StreamKind::Capacity);
-    let caps: Vec<f64> = (0..n)
-        .map(|_| config.capacity.sample(&mut cap_rng))
+    let mut slot_rng = stream(config, StreamKind::Slots);
+    let nodes: Vec<(f64, usize)> = (0..n)
+        .map(|_| {
+            let slots = config.resource.slots.sample(&mut slot_rng);
+            (config.capacity.sample(&mut cap_rng), slots)
+        })
         .collect();
     let bws: Vec<Option<f64>> = (0..n)
         .map(|_| Some(local_rng.gen_range(10.0..100.0)))
         .collect();
-    let cap_est: Vec<Option<f64>> = caps.iter().map(|&c| Some(c)).collect();
+    let cap_est: Vec<Option<f64>> = nodes.iter().map(|&(c, _)| Some(c)).collect();
 
     let root = tracer.begin("replay.gossip", REPLAY_OP);
     let (mut views_ms, mut epidemic_ms, mut aggregation_ms) = (0.0, 0.0, 0.0);
     let (mut messages, mut records, mut changed) = (0u64, 0u64, 0u64);
     for cycle in 0..WARM_CYCLES + MEASURED_CYCLES {
         let now = SimTime::ZERO + SimDuration::from_mins(5 * cycle as u64);
-        let adverts: Vec<Option<LocalAdvertisement>> = caps
+        let adverts: Vec<Option<LocalAdvertisement>> = nodes
             .iter()
-            .map(|&capacity_mips| {
+            .map(|&(per_slot_mips, slots)| {
                 Some(LocalAdvertisement {
-                    capacity_mips,
-                    slots: 1,
+                    capacity_mips: per_slot_mips * slots as f64,
+                    slots,
                     total_load_mi: local_rng.gen_range(0.0..20_000.0),
                 })
             })

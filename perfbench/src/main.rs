@@ -183,19 +183,30 @@ impl Outcome {
     }
 
     /// Host-time metrics from per-setup, per-op and per-submission samples, in seconds.
-    pub fn set_timings(&mut self, setup: &[f64], ops: &[f64], campaigns: &[f64]) {
+    /// Every run of the workload measures at least `guaranteed` ops.
+    pub fn set_timings(
+        &mut self,
+        setup: &[f64],
+        ops: &[f64],
+        campaigns: &[f64],
+        guaranteed: usize,
+    ) {
         self.samples = ops.len();
         self.e2e.insert("setup_s", median(setup));
         self.e2e.insert("op_s", median(ops));
-        self.e2e.insert("op_s_p90", tail_p90(ops));
+        self.e2e.insert("op_s_p90", tail_p90(ops, guaranteed));
         self.e2e.insert("campaign_s", median(campaigns));
     }
 }
 
-/// The p90 of `samples` when at least ten samples lie beyond it; otherwise the highest
-/// percentile that has ten beyond it, or the median when none has.
-pub fn tail_p90(samples: &[f64]) -> f64 {
-    let p = tail_percentile(samples.len()).map_or(50.0, |p| p.min(90.0));
+/// The p90 of `samples` when every run has at least ten samples beyond it, that is when at
+/// least `guaranteed` ≥ 100 samples are; otherwise the highest percentile with ten of
+/// `guaranteed` samples beyond it, or the median when none has.  The percentile follows the
+/// count a run is sure to reach, not the count it happened to reach, so a faster program,
+/// which fits more ops into a run, is not read at a higher percentile.
+pub fn tail_p90(samples: &[f64], guaranteed: usize) -> f64 {
+    let n = guaranteed.min(samples.len());
+    let p = tail_percentile(n).map_or(50.0, |p| p.min(90.0));
     quantile(samples, p / 100.0)
 }
 
@@ -237,21 +248,15 @@ fn peak_rss_mb() -> Result<f64, String> {
         .ok_or_else(|| "no VmHWM in /proc/self/status".into())
 }
 
-/// The commit being measured: `PERFBENCH_COMMIT`, else `.git/HEAD` of the working directory,
-/// else `"unknown"` (a source checkout without git metadata).
+/// The commit being measured (`git rev-parse HEAD`), or `"unknown"` outside a git checkout.
 fn commit() -> String {
-    if let Ok(c) = std::env::var("PERFBENCH_COMMIT") {
-        return c;
-    }
-    let head = std::fs::read_to_string(".git/HEAD").unwrap_or_default();
-    let head = head.trim();
-    match head.strip_prefix("ref: ") {
-        Some(r) => std::fs::read_to_string(format!(".git/{r}"))
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|_| "unknown".into()),
-        None if !head.is_empty() => head.to_string(),
-        None => "unknown".into(),
-    }
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".into(), |c| c.trim().to_string())
 }
 
 fn json_str(s: &str) -> String {
@@ -393,11 +398,13 @@ mod tests {
     #[test]
     fn tail_p90_needs_ten_samples_beyond_it() {
         let xs: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert!((tail_p90(&xs) - quantile(&xs, 0.9)).abs() < 1e-12);
+        assert!((tail_p90(&xs, 100) - quantile(&xs, 0.9)).abs() < 1e-12);
+        assert!((tail_p90(&xs, 40) - quantile(&xs, 0.75)).abs() < 1e-12);
+        assert_eq!(tail_p90(&xs, 0), median(&xs));
         let few: Vec<f64> = (1..=40).map(f64::from).collect();
-        assert!((tail_p90(&few) - quantile(&few, 0.75)).abs() < 1e-12);
+        assert!((tail_p90(&few, 100) - quantile(&few, 0.75)).abs() < 1e-12);
         let three = [3.0, 1.0, 2.0];
-        assert_eq!(tail_p90(&three), 2.0);
+        assert_eq!(tail_p90(&three, 100), 2.0);
     }
 
     #[test]

@@ -5,11 +5,10 @@
 //! is one run-unit (`Worker::step`).  Both connections go through [`Timed`], a wrapper around
 //! the public `Transport` trait that times every request.
 
-use crate::layers;
 use crate::stats::median;
 use crate::trace::{Tracer, REPLAY_OP};
 use crate::window::run_windows;
-use crate::world::{insert_gossip_replay, insert_windows, PLATFORM_SEED};
+use crate::world::{build_times, insert_replays, insert_windows, PLATFORM_SEED};
 use crate::{catch, ns_since, Env, Outcome, Run};
 use p2pgrid::core::{Algorithm, Scenario};
 use p2pgrid::experiments::rununit::{render_result, run_local};
@@ -26,32 +25,38 @@ use std::net::TcpListener;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-/// Seeds per campaign; with three algorithms a campaign is 36 units, so a run serves
-/// several campaigns (several setups) and still reaches [`MIN_UNITS`].
-const SEEDS: u64 = 12;
+/// Seeds per campaign; with three algorithms a campaign is 18 units.
+const SEEDS: usize = 6;
+
+/// Campaigns a run cycles through.  Together they are 108 units, so one pass reaches
+/// [`MIN_UNITS`] and a run has at least six setups and six campaign times.
+const CAMPAIGNS: usize = 6;
 
 /// Units a measured phase serves at least, so its p90 has ten samples beyond it.
 const MIN_UNITS: usize = 100;
 
-/// The campaign every op of a run belongs to.  The first seed anchors the base world whose
+/// The campaigns a run cycles through.  The first seed of each anchors the base world whose
 /// topology every unit shares, so it is the fixed [`PLATFORM_SEED`]; `--seed` draws the
-/// other eleven worlds on that topology.
-pub fn spec(seed: u64) -> CampaignSpec {
-    let mut seeds = vec![PLATFORM_SEED];
-    let mut next = seed.wrapping_mul(SEEDS);
-    while seeds.len() < SEEDS as usize {
-        if next != PLATFORM_SEED {
-            seeds.push(next);
-        }
-        next = next.wrapping_add(1);
-    }
-    CampaignSpec {
-        name: "perfbench".into(),
-        scale: ExperimentScale::Smoke,
-        seeds,
-        algorithms: vec![Algorithm::Dsmf, Algorithm::Dheft, Algorithm::MinMin],
-        workload: None,
-    }
+/// other worlds on that topology, different ones for every campaign.
+pub fn specs(seed: u64) -> Vec<CampaignSpec> {
+    let drawn = CAMPAIGNS * (SEEDS - 1);
+    let seeds: Vec<u64> = (0..)
+        .map(|i| seed.wrapping_mul(drawn as u64).wrapping_add(i))
+        .filter(|&s| s != PLATFORM_SEED)
+        .take(drawn)
+        .collect();
+    seeds
+        .chunks(SEEDS - 1)
+        .map(|chunk| CampaignSpec {
+            name: "perfbench".into(),
+            scale: ExperimentScale::Smoke,
+            seeds: std::iter::once(PLATFORM_SEED)
+                .chain(chunk.iter().copied())
+                .collect(),
+            algorithms: vec![Algorithm::Dsmf, Algorithm::Dheft, Algorithm::MinMin],
+            workload: None,
+        })
+        .collect()
 }
 
 /// One timed request.
@@ -338,26 +343,29 @@ fn call_ms(calls: &[Call], kind: &str) -> Vec<f64> {
 
 /// Run `campaign_served` for `--seconds` (and at least [`MIN_UNITS`] units untraced).
 pub fn run(run: &Run, env: &mut Env) -> Result<Outcome, String> {
-    let spec = spec(run.seed);
+    let specs = specs(run.seed);
     let mut out = Outcome::default();
 
-    // The single-process reference every served campaign must reproduce byte for byte.
-    let reference = run_local(&spec).map_err(|e| e.to_string())?;
-    let dsmf = check_units(&reference, &spec)?;
+    // The single-process references every served campaign must reproduce byte for byte.
+    let mut references = Vec::with_capacity(specs.len());
+    let mut dsmf = Vec::new();
+    for spec in &specs {
+        let reference = run_local(spec).map_err(|e| e.to_string())?;
+        dsmf.extend(check_units(&reference, spec)?);
+        references.push(reference);
+    }
     let n = dsmf.len() as f64;
     out.set_sim(
         dsmf.iter().map(|d| d.0).sum::<f64>() / n,
         dsmf.iter().map(|d| d.1).sum::<f64>() / n,
         dsmf.iter().map(|d| d.2).sum::<f64>() / n,
     );
-    env.shards = Scenario::build(spec.base_config())
-        .map_err(|e| e.to_string())?
-        .simulate_algorithm(Algorithm::Dsmf)
-        .shard_count();
+    let base = specs[0].base_config();
+    let scenario = Scenario::build(base.clone()).map_err(|e| e.to_string())?;
+    env.shards = scenario.simulate_algorithm(Algorithm::Dsmf).shard_count();
 
     // A traced run alternates untraced and traced campaigns, so both see the same machine
     // conditions; an untraced run serves at least `MIN_UNITS` units.
-    let units_per_campaign = spec.units().len() as u64;
     let mut tracer = Tracer::new();
     let (mut setup, mut ops, mut campaigns) = (Vec::new(), Vec::new(), Vec::new());
     let mut traced = Vec::new();
@@ -372,13 +380,15 @@ pub fn run(run: &Run, env: &mut Env) -> Result<Outcome, String> {
     let mut i: u64 = 0;
     while Instant::now() < deadline || (!enough(&ops, &traced) && out.failed == 0) {
         let trace_this = run.trace && i % 2 == 1;
+        let c = i as usize % specs.len();
+        let units_per_campaign = specs[c].units().len() as u64;
+        let first_op = out.attempted;
         out.attempted += units_per_campaign;
-        let first_op = i * units_per_campaign;
         let served = catch(|| {
             let tracer = if trace_this { Some(&mut tracer) } else { None };
-            serve_campaign(&spec, tracer, first_op)
+            serve_campaign(&specs[c], tracer, first_op)
         })
-        .and_then(|s| verify(s, &reference));
+        .and_then(|s| verify(s, &references[c]));
         match served {
             Ok(s) if trace_this => traced.push(s),
             Ok(s) => {
@@ -393,7 +403,7 @@ pub fn run(run: &Run, env: &mut Env) -> Result<Outcome, String> {
         }
         i += 1;
     }
-    out.set_timings(&setup, &ops, &campaigns);
+    out.set_timings(&setup, &ops, &campaigns, MIN_UNITS);
     if !run.trace {
         return Ok(out);
     }
@@ -434,34 +444,10 @@ pub fn run(run: &Run, env: &mut Env) -> Result<Outcome, String> {
     );
     layer.insert("server.requeues", requeues(&worker_calls) as f64);
 
-    // The layers below the run-unit, replayed on the campaign's base world.
-    let config = spec.base_config();
-    let scenario = Scenario::build(config.clone()).map_err(|e| e.to_string())?;
-    let builds: Vec<f64> = (0..5)
-        .map(|_| {
-            let t0 = Instant::now();
-            let s = Scenario::build(config.clone()).expect("the base world built once already");
-            let ms = ns_since(t0, Instant::now()) as f64 / 1e6;
-            std::hint::black_box(s);
-            ms
-        })
-        .collect();
+    // The layers below the run-unit, replayed on the campaigns' base world.
+    let builds: Vec<f64> = build_times(&base, 5)?.iter().map(|s| s * 1e3).collect();
     layer.insert("scenario.build_ms", median(&builds));
-    let derives: Vec<f64> = (0..5)
-        .map(|_| layers::replay_derive(&scenario, &mut tracer))
-        .collect();
-    layer.insert("scenario.derive_ms", median(&derives));
-    let topo = layers::replay_topology(&config, &mut tracer);
-    layer.insert("topology.waxman_ms", topo.waxman_ms);
-    layer.insert("topology.pairwise_ms", topo.pairwise_ms);
-    layer.insert("topology.landmark_ms", topo.landmark_ms);
-    layer.insert("topology.edges", topo.edges as f64);
-    let wf = layers::replay_workflows(&scenario, &mut tracer);
-    layer.insert("workflow.generate_ms", wf.generate_ms);
-    layer.insert("workflow.analysis_ms", wf.analysis_ms);
-    layer.insert("workflow.tasks", wf.tasks as f64);
-    layer.insert("workflow.edges", wf.edges as f64);
-    insert_gossip_replay(&mut layer, &layers::replay_gossip(&config, &mut tracer));
+    insert_replays(&mut layer, &scenario, &mut tracer);
     let root = tracer.begin("replay.engine", REPLAY_OP);
     let (_, windows) = run_windows(&scenario, Algorithm::Dsmf, &mut tracer, REPLAY_OP);
     tracer.end(root);
@@ -481,4 +467,28 @@ fn verify(served: Served, reference: &str) -> Result<Served, String> {
         return Err("served artifact differs from run_local".into());
     }
     Ok(served)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_pass_over_the_campaigns_serves_enough_distinct_worlds() {
+        let specs = specs(PLATFORM_SEED / (CAMPAIGNS * (SEEDS - 1)) as u64);
+        assert_eq!(specs.len(), CAMPAIGNS);
+        let units: usize = specs.iter().map(|s| s.units().len()).sum();
+        assert!(units >= MIN_UNITS);
+        let mut drawn = BTreeSet::new();
+        for spec in &specs {
+            assert_eq!(spec.seeds.len(), SEEDS);
+            assert_eq!(spec.seeds[0], PLATFORM_SEED);
+            for &s in &spec.seeds[1..] {
+                assert!(
+                    s != PLATFORM_SEED && drawn.insert(s),
+                    "seed {s} drawn twice"
+                );
+            }
+        }
+    }
 }

@@ -280,6 +280,31 @@ fn worlds_per_run(name: &str) -> usize {
     }
 }
 
+/// Pooled-then-sequential sweeps of world 0 behind `campaign.parallel_efficiency`.
+const EFFICIENCY_ROUNDS: usize = 3;
+
+/// Builds of an op's world that follow each untimed op, so `setup_s` is a median over
+/// several builds per op.  Small worlds build in milliseconds and get more of them.
+fn extra_builds(name: &str) -> usize {
+    match name {
+        "paper_1000" => 1,
+        _ => 4,
+    }
+}
+
+/// Host time of `n` builds of `config`, s each.
+pub fn build_times(config: &GridConfig, n: usize) -> Result<Vec<f64>, String> {
+    (0..n)
+        .map(|_| {
+            let t0 = Instant::now();
+            let scenario = Scenario::build(config.clone()).map_err(|e| e.to_string())?;
+            let s = ns_since(t0, Instant::now()) as f64 / 1e9;
+            drop(std::hint::black_box(scenario));
+            Ok(s)
+        })
+        .collect()
+}
+
 /// Run one in-process workload for `--seconds`.
 pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
     let (mut worlds, shape) = Worlds::new(name, run.seed).ok_or("unknown workload")?;
@@ -296,10 +321,11 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
     // the same machine conditions and `trace.overhead_frac` compares like with like.
     let mut tracer = Tracer::new();
     let (mut setup, mut ops, mut work) = (Vec::new(), Vec::new(), Vec::new());
-    let (mut traced_ops, mut builds, mut pooled_ns) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut traced_ops, mut builds) = (Vec::new(), Vec::new());
     let mut stats = Vec::new();
     let mut sweep0 = None;
     let per_world = if run.trace { 2 } else { 1 };
+    let extra = extra_builds(name);
     let deadline = Instant::now() + Duration::from_secs_f64(run.seconds);
     let mut i: u64 = 0;
     while Instant::now() < deadline
@@ -315,7 +341,6 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
                 Ok((r, s)) => {
                     traced_ops.push(r.op_ns() as f64 / 1e9);
                     builds.push(r.setup_ns as f64 / 1e6);
-                    pooled_ns.push(r.work_ns as f64);
                     stats.extend(s);
                     if w == 0 {
                         sweep0 = Some(r);
@@ -327,9 +352,12 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
                 }
             }
         } else {
-            match catch(|| op(config, shape)).and_then(|r| worlds.check(w, &r, shape).map(|()| r)) {
-                Ok(r) => {
+            match catch(|| Ok((op(config, shape)?, build_times(config, extra)?)))
+                .and_then(|(r, b)| worlds.check(w, &r, shape).map(|()| (r, b)))
+            {
+                Ok((r, more)) => {
                     setup.push(r.setup_ns as f64 / 1e9);
+                    setup.extend(more);
                     ops.push(r.op_ns() as f64 / 1e9);
                     work.push(r.work_ns as f64 / 1e9);
                 }
@@ -338,7 +366,9 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
         }
         i += 1;
     }
-    out.set_timings(&setup, &ops, &work);
+    // A run may end after one op per world, so no percentile above the median is sure to
+    // have ten samples beyond it.
+    out.set_timings(&setup, &ops, &work, 0);
     let (completed, act_h, ae) = worlds.sim();
     out.set_sim(completed, act_h, ae);
     if !run.trace {
@@ -346,25 +376,9 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
     }
 
     // The standalone replays, on world 0.
-    let config = &worlds.configs[0];
     let mut layer = BTreeMap::new();
     layer.insert("scenario.build_ms", median(&builds));
-    let derives: Vec<f64> = (0..3)
-        .map(|_| layers::replay_derive(&scenario, &mut tracer))
-        .collect();
-    layer.insert("scenario.derive_ms", median(&derives));
-
-    let topo = layers::replay_topology(config, &mut tracer);
-    layer.insert("topology.waxman_ms", topo.waxman_ms);
-    layer.insert("topology.pairwise_ms", topo.pairwise_ms);
-    layer.insert("topology.landmark_ms", topo.landmark_ms);
-    layer.insert("topology.edges", topo.edges as f64);
-    let wf = layers::replay_workflows(&scenario, &mut tracer);
-    layer.insert("workflow.generate_ms", wf.generate_ms);
-    layer.insert("workflow.analysis_ms", wf.analysis_ms);
-    layer.insert("workflow.tasks", wf.tasks as f64);
-    layer.insert("workflow.edges", wf.edges as f64);
-    insert_gossip_replay(&mut layer, &layers::replay_gossip(config, &mut tracer));
+    insert_replays(&mut layer, &scenario, &mut tracer);
 
     // Engine, gossip and policy come from the traced DSMF sessions (`Single`) or from a
     // stepped DSMF replay of the sweep's world (`Sweep`), as shares of that session.
@@ -376,26 +390,35 @@ pub fn run(name: &str, run: &Run, env: &mut Env) -> Result<Outcome, String> {
         }
         Shape::Sweep => {
             let pooled = sweep0.ok_or("no traced op completed on world 0")?;
+            // Each round times a pooled sweep of world 0 and, right after it, the same jobs
+            // one by one, so both halves of an efficiency ratio see the same machine.
             let root = tracer.begin("replay.sequential", REPLAY_OP);
-            let mut job_ms = Vec::new();
-            let mut sequential = Vec::new();
-            for job in jobs(&scenario) {
+            let (mut job_ms, mut efficiency) = (Vec::new(), Vec::new());
+            for _ in 0..EFFICIENCY_ROUNDS {
                 let t0 = Instant::now();
-                sequential.push(job.run());
-                job_ms.push(ns_since(t0, Instant::now()) as f64 / 1e6);
+                let pooled_again = campaign::run(&jobs(&scenario));
+                let pooled_ms = ns_since(t0, Instant::now()) as f64 / 1e6;
+                let mut sequential = Vec::new();
+                let mut seq_ms = 0.0;
+                for job in jobs(&scenario) {
+                    let t0 = Instant::now();
+                    sequential.push(job.run());
+                    let ms = ns_since(t0, Instant::now()) as f64 / 1e6;
+                    job_ms.push(ms);
+                    seq_ms += ms;
+                }
+                efficiency.push(seq_ms / (env.pool_threads as f64 * pooled_ms));
+                out.attempted += 2;
+                if digest(&sequential) != digest(&pooled.reports) {
+                    out.fail("the traced op's pooled reports differ from a sequential run".into());
+                }
+                if digest(&pooled_again) != digest(&pooled.reports) {
+                    out.fail("a pooled sweep of world 0 differs from the traced op's".into());
+                }
             }
             tracer.end(root);
-            out.attempted += 2;
-            if digest(&sequential) != digest(&pooled.reports) {
-                out.fail("pooled sweep reports differ from the sequential reports".into());
-            }
-            let seq_ms: f64 = job_ms.iter().sum();
-            let pooled_ms = median(&pooled_ns) / 1e6;
             layer.insert("campaign.job_ms_p50", median(&job_ms));
-            layer.insert(
-                "campaign.parallel_efficiency",
-                seq_ms / (env.pool_threads as f64 * pooled_ms),
-            );
+            layer.insert("campaign.parallel_efficiency", median(&efficiency));
             let root = tracer.begin("replay.engine", REPLAY_OP);
             let (report, w) = run_windows(&scenario, Algorithm::Dsmf, &mut tracer, REPLAY_OP);
             tracer.end(root);
@@ -490,8 +513,29 @@ pub fn insert_windows(layer: &mut BTreeMap<&'static str, f64>, w: &WindowStats, 
     layer.insert("policy.displacements", w.counts.displacements as f64);
 }
 
-/// The standalone gossip replay's metrics.
-pub fn insert_gossip_replay(layer: &mut BTreeMap<&'static str, f64>, g: &layers::GossipReplay) {
+/// The standalone replays of the layers below an op, on `scenario`: deriving a sibling
+/// world, the topology tables, the workflow set and the parts of a gossip cycle.
+pub fn insert_replays(
+    layer: &mut BTreeMap<&'static str, f64>,
+    scenario: &Scenario,
+    tracer: &mut Tracer,
+) {
+    let config = scenario.config();
+    let derives: Vec<f64> = (0..5)
+        .map(|_| layers::replay_derive(scenario, tracer))
+        .collect();
+    layer.insert("scenario.derive_ms", median(&derives));
+    let topo = layers::replay_topology(config, tracer);
+    layer.insert("topology.waxman_ms", topo.waxman_ms);
+    layer.insert("topology.pairwise_ms", topo.pairwise_ms);
+    layer.insert("topology.landmark_ms", topo.landmark_ms);
+    layer.insert("topology.edges", topo.edges as f64);
+    let wf = layers::replay_workflows(scenario, tracer);
+    layer.insert("workflow.generate_ms", wf.generate_ms);
+    layer.insert("workflow.analysis_ms", wf.analysis_ms);
+    layer.insert("workflow.tasks", wf.tasks as f64);
+    layer.insert("workflow.edges", wf.edges as f64);
+    let g = layers::replay_gossip(config, tracer);
     layer.insert("gossip.replay_views_ms", g.views_ms);
     layer.insert("gossip.replay_epidemic_ms", g.epidemic_ms);
     layer.insert("gossip.replay_aggregation_ms", g.aggregation_ms);
