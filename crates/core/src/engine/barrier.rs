@@ -1,29 +1,28 @@
-//! Window-barrier bookkeeping for the sharded event loop.
+//! Window-barrier bookkeeping for the event loop.
 //!
-//! While a time window executes, shards run concurrently and must not touch shared state
-//! (workflow progress, metrics) or call observers — both would make results depend on shard
-//! count and interleaving.  Instead each shard records what happened into two per-shard
-//! buffers, and the barrier replays them in a *canonical* order that no partitioning can
-//! perturb:
+//! While a time window executes, the engine touches only node-local state: it neither
+//! updates grid-wide state (workflow progress, metrics, recovery) nor calls observers.  It
+//! records what happened into the barrier buffers instead, and the barrier applies them in a
+//! *canonical* order that is part of the model — replica cancellation, fault recovery and the
+//! observer stream all follow it:
 //!
 //! * [`ArrivalNotice`]s — workflow arrivals that must flip the workflow's `arrived` flag and
-//!   count a submission — are merged and sorted by `(time, workflow)` and applied *before* the
-//!   window's completion notices (nothing completes before it arrives);
-//! * [`CompletionNotice`]s — task completions that must update workflow state — are merged and
-//!   sorted by `(time, workflow, task)` before being applied, so the floating-point
-//!   accumulation order inside the metrics is identical for every shard count;
-//! * [`BufferedEvent`]s — observer callbacks — are merged and sorted by
-//!   `(time, node, per-shard emission sequence)`.  A node's events are always processed by
-//!   exactly one shard in a causally fixed order, so the per-shard sequence preserves each
-//!   node's relative order while the global node id canonicalises the order *across* nodes.
+//!   count a submission — are sorted by `(time, workflow)` and applied *before* the window's
+//!   completion notices (nothing completes before it arrives);
+//! * [`CompletionNotice`]s — task completions that must update workflow state — are sorted by
+//!   `(time, workflow, task, node)` before being applied, which fixes the floating-point
+//!   accumulation order inside the metrics and which replica twin wins a tie;
+//! * [`FaultRecord`]s and [`BufferedEvent`]s — fault transitions and observer callbacks — are
+//!   sorted by `(time, node, seq)`: the engine-wide sequence counter preserves each node's
+//!   causal order while the node id orders concurrent events of different nodes.
 
 use crate::NodeId;
 use p2pgrid_sim::SimTime;
 use p2pgrid_workflow::TaskId;
 
-/// A workflow arrival recorded inside a window (its `WorkflowArrival` event fired on the home
-/// node's shard), applied to workflow state and metrics at the barrier — before any completion
-/// notice of the same window, since nothing can complete before it arrives.
+/// A workflow arrival recorded inside a window (its `WorkflowArrival` event fired at the home
+/// node), applied to workflow state and metrics at the barrier — before any completion notice
+/// of the same window, since nothing can complete before it arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ArrivalNotice {
     /// Arrival instant.
@@ -92,17 +91,15 @@ pub(crate) enum FaultKind {
     },
 }
 
-/// A shard-local fault event recorded inside a window, applied to recovery state at the
-/// barrier.  Sorted like [`BufferedEvent`]s: `(time, node, seq)` — one node belongs to exactly
-/// one shard, so the per-shard counter preserves each node's causal order while the node id
-/// canonicalises across nodes.
+/// A node-local fault event recorded inside a window, applied to recovery state at the
+/// barrier.  Sorted like [`BufferedEvent`]s: `(time, node, seq)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FaultRecord {
     /// When the transition happened.
     pub time: SimTime,
     /// The failing / repaired node.
     pub node: NodeId,
-    /// The owning shard's monotone fault counter.
+    /// The engine's monotone fault counter.
     pub seq: u64,
     /// What happened.
     pub kind: FaultKind,
@@ -166,9 +163,7 @@ pub(crate) struct BufferedEvent {
     pub time: SimTime,
     /// The node it happened on.
     pub node: NodeId,
-    /// The emitting shard's monotone emission counter; orders events of the *same node*
-    /// (a node's events all carry the same shard's counter, so the order is shard-count
-    /// independent).
+    /// The engine's monotone emission counter; orders events of the *same node*.
     pub seq: u64,
     /// Which hook to replay.
     pub kind: BufferedKind,
@@ -248,8 +243,8 @@ mod tests {
     #[test]
     fn observations_interleave_nodes_canonically_but_keep_per_node_order() {
         let t = SimTime::from_secs(1);
-        // Node 7's events carry seqs from a "large" shard, node 2's from a singleton shard;
-        // the merge must order by node id first, then by each node's own sequence.
+        // Concurrent events of different nodes order by node id first, then by emission
+        // sequence within one node.
         let mut events = vec![
             BufferedEvent {
                 time: t,

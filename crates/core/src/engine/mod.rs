@@ -1,5 +1,5 @@
-//! The grid engine: a sharded, conservative time-window event loop driving one end-to-end
-//! P2P-grid simulation.
+//! The grid engine: a conservative time-window event loop driving one end-to-end P2P-grid
+//! simulation.
 //!
 //! One engine run reproduces the paper's experimental procedure:
 //!
@@ -25,32 +25,32 @@
 //!    backoff, resume from a checkpoint, or fall back to a replica copy.
 //! 7. Throughput, ACT and AE are sampled hourly, exactly like the paper's figures.
 //!
-//! # The sharded event loop
+//! # The event loop
 //!
-//! Instead of one global event queue, [`ShardedEngine`] partitions the nodes over `S` shards
-//! (a deterministic hash of the node id — see [`ShardSpec`](crate::config::ShardSpec)), each
-//! with its own queue and RNG stream, and advances all shards in lockstep **conservative time
-//! windows** of width [`Scenario::lookahead`] — the minimum cross-node interaction delay,
-//! known at build time from the topology's smallest pairwise latency and the gossip cadence.
-//! Within a window, every shard-local event (data arrivals, task completions, slot refills) is
-//! independent of every other shard by construction: nodes interact only through dispatches,
-//! which originate at the serial scheduling cadence and arrive no earlier than one lookahead
-//! away.  Shards therefore execute their windows concurrently on the worker pool, and the
-//! result is *identical* to serial execution — parallelism is a pure performance knob.
+//! [`Engine`] keeps one vector of node runtimes and two event queues: the node event queue
+//! (data arrivals, task completions, slot refills, arrivals and stochastic faults — everything
+//! that happens *at* one node) and the grid-wide cadence queue (gossip, scheduling, metrics).
+//! It advances in **conservative time windows** of width at most [`Scenario::lookahead`] — the
+//! minimum cross-node interaction delay, known at build time from the topology's smallest
+//! pairwise latency and the gossip cadence.  Within a window only node-local state changes:
+//! nodes interact only through dispatches, which originate at the scheduling cadence and
+//! arrive no earlier than one lookahead away (checked by `debug_assert!`s in every debug
+//! build).  A window closes at the next cadence instant at the latest.
 //!
-//! At each window barrier the engine, serially and in canonical order (see `barrier.rs`):
+//! At each window barrier the engine, in canonical order (see `barrier.rs`):
 //!
-//! 1. applies the shards' buffered completion notices to workflow state and metrics, sorted by
-//!    `(time, workflow, task)` so floating-point accumulation never depends on the partition;
-//! 2. replays the shards' buffered observer callbacks, merged by `(time, node, emission seq)`,
-//!    splicing `on_workflow_completed` right after the matching exit-task finish;
-//! 3. applies the shards' fault records, sorted by `(time, node, seq)`, running the recovery
+//! 1. applies the window's completion notices to workflow state and metrics, sorted by
+//!    `(time, workflow, task, node)`;
+//! 2. replays the window's buffered observer callbacks, sorted by `(time, node, emission
+//!    seq)`, splicing `on_workflow_completed` right after the matching exit-task finish;
+//! 3. applies the window's fault records, sorted by `(time, node, seq)`, running the recovery
 //!    policy and the robustness ledger over them;
 //! 4. pops the grid-wide cadence events (gossip, scheduling, metrics) due exactly at the
-//!    window's end — windows always close *at* the next cadence instant, so the serial phases
-//!    observe every node in a settled state.
+//!    window's end, so the scheduling phases observe every node in a settled state.
 //!
-//! Reports are byte-identical for every shard count and pool size; only wall-clock changes.
+//! The windows and the barrier sorts are part of the model, not an optimisation: replica
+//! cancellation and fault recovery happen at barrier instants, and the observer stream follows
+//! the barrier order, so changing either changes reports.
 //!
 //! Steps 1–2 (and every other seed-derived sample) live in
 //! [`Scenario::build`](crate::scenario::Scenario::build) so a sweep pays for them once; the
@@ -66,9 +66,7 @@ pub mod transfer;
 pub(crate) mod workflow;
 
 mod barrier;
-mod shard;
-
-pub use shard::ShardStats;
+mod window;
 
 use crate::config::{GridConfig, RecoveryPolicy};
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
@@ -90,14 +88,14 @@ use p2pgrid_metrics::{RobustnessStats, WorkflowMetrics, WorkflowOutcome, Workflo
 use p2pgrid_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use p2pgrid_topology::LandmarkEstimator;
 use p2pgrid_workflow::{ExpectedCosts, TaskId, WorkflowAnalysis};
-use shard::{run_shards, Shard, ShardEvent, ShardMap, WindowCtx};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use transfer::TransferModel;
+use window::NodeEvent;
 use workflow::WorkflowRuntime;
 
-/// Grid-wide cadence events.  These are the only events on the engine's serial queue; all
-/// node-local traffic lives on the per-shard queues as [`ShardEvent`]s.
+/// Grid-wide cadence events.  These are the only events on the engine's cadence queue; all
+/// node-local traffic lives on the node event queue as [`NodeEvent`]s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GridEvent {
     /// Run one mixed-gossip cycle on every alive node.
@@ -116,7 +114,7 @@ pub(crate) struct Observers<'a, 'obs>(pub(crate) &'a mut [&'obs mut dyn Observer
 
 impl Observers<'_, '_> {
     /// True when no observer is registered — callers on hot paths skip building event payloads
-    /// entirely (the observer fast path; pinned by the `observer_overhead` bench).
+    /// entirely (the observer fast path; pinned by the `observer_fast_path` bench).
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
@@ -131,16 +129,15 @@ impl Observers<'_, '_> {
     }
 }
 
-/// The sharded event loop of one simulation run.
+/// The event loop of one simulation run.
 ///
-/// Owns the node partition (one `Shard` per partition class with its own event queue and RNG
-/// stream), the serial grid-wide cadence queue, and all cross-shard state (workflows, metrics,
-/// gossip).  Advanced one conservative time window at a time by the crate-private session /
-/// [`Simulation`](crate::simulation::Simulation) machinery; the public surface of this type is
-/// read-only statistics plus the per-shard RNG seam.
+/// Owns the node runtimes and their event queue, the grid-wide cadence queue, and all
+/// grid-wide state (workflows, metrics, gossip).  Advanced one conservative time window at a
+/// time by the crate-private session / [`Simulation`](crate::simulation::Simulation)
+/// machinery; the public surface of this type is read-only statistics.
 ///
-/// See the [module docs](self) for the window/barrier protocol and its determinism argument.
-pub struct ShardedEngine {
+/// See the [module docs](self) for the window/barrier protocol.
+pub struct Engine {
     config: GridConfig,
     scheduler: Box<dyn Scheduler>,
     transfer: Arc<TransferModel>,
@@ -148,11 +145,16 @@ pub struct ShardedEngine {
     gossip: MixedGossip,
     gossip_rng: SimRng,
     churn_rng: SimRng,
-    /// Reused gossip-state scratch buffer (filled in global node order every cycle), so the
+    /// Reused gossip-state scratch buffer (filled in node order every cycle), so the
     /// five-minute cadence stops allocating a fresh vector per cycle.
     gossip_scratch: Vec<LocalNodeState>,
-    shards: Vec<Shard>,
-    map: ShardMap,
+    /// Node runtimes, indexed by [`NodeId`].
+    nodes: Vec<NodeRuntime>,
+    /// The node event queue (`(time, seq)` min-order).
+    queue: EventQueue<NodeEvent>,
+    /// True when at least one observer is registered on the session; when not, windows skip
+    /// buffering observer callbacks entirely (the observer fast path).
+    observing: bool,
     workflows: Vec<WorkflowRuntime>,
     home_of: Arc<Vec<Vec<usize>>>,
     metrics: WorkflowMetrics,
@@ -161,21 +163,29 @@ pub struct ShardedEngine {
     now: SimTime,
     horizon: SimTime,
     next_seq: u64,
+    /// Monotone run-generation counter (tags each task execution; see `NodeEvent`).
+    next_run: u64,
+    /// Monotone observation-emission counter (the per-node order key in the barrier's
+    /// observation sort).
+    emit_seq: u64,
+    /// Monotone fault-record counter (the per-node order key in the barrier's fault sort).
+    /// Dedicated — never shared with `emit_seq`, which only advances while observing.
+    fault_seq: u64,
     dispatched_tasks: u64,
-    windows: u64,
-    max_window_width: SimDuration,
-    cross_shard_events: u64,
-    min_cross_shard_delay: Option<SimDuration>,
-    /// Barrier scratch: merged workflow arrivals of the current window.
+    /// Task executions started so far.
+    executed: u64,
+    /// Workflow arrivals recorded this window, applied at the barrier.
     arrivals: Vec<ArrivalNotice>,
-    /// Barrier scratch: merged completion notices of the current window.
+    /// Completion notices recorded this window, applied at the barrier.
     notices: Vec<CompletionNotice>,
-    /// Barrier scratch: merged buffered observations of the current window.
+    /// Observer callbacks buffered this window, replayed at the barrier.
     observations: Vec<BufferedEvent>,
     /// Barrier scratch: exit tasks that completed their workflow this window, so the
     /// observation replay can splice `on_workflow_completed` after the matching finish.
     completed_markers: HashSet<(usize, TaskId)>,
-    /// Barrier scratch: merged fault records of the current window.
+    /// Fault records (node down / up, tasks lost) this window, applied at the barrier's
+    /// recovery pass.  Unlike `observations` these are engine state, recorded whether or not
+    /// an observer is attached.
     fault_records: Vec<FaultRecord>,
     /// Fault / recovery accounting, mutated only at window barriers in canonical event order.
     robustness: RobustnessStats,
@@ -196,10 +206,9 @@ pub struct ShardedEngine {
     pending_recovery: HashMap<(usize, TaskId), SimTime>,
 }
 
-impl ShardedEngine {
-    /// Clone the scenario's mutable runtime state into a fresh engine — partitioning the nodes
-    /// into shards per the config's [`ShardSpec`](crate::config::ShardSpec) — and run the
-    /// scheduler's full-ahead planning pass (HEFT / SMF plan centrally before execution).
+impl Engine {
+    /// Clone the scenario's mutable runtime state into a fresh engine and run the scheduler's
+    /// full-ahead planning pass (HEFT / SMF plan centrally before execution).
     pub(crate) fn from_scenario(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
@@ -255,48 +264,32 @@ impl ShardedEngine {
             }
         }
 
-        let shard_count = world.config.shards.resolve(world.nodes.len());
-        let (map, members) = ShardMap::new(world.nodes.len(), shard_count);
-        let mut shards: Vec<Shard> = members
-            .into_iter()
-            .enumerate()
-            .map(|(id, node_ids)| {
-                let nodes = node_ids.iter().map(|&n| world.nodes[n].clone()).collect();
-                Shard::new(id, node_ids, nodes, world.config.seed)
-            })
-            .collect();
-
-        // Schedule the deferred arrivals into their home nodes' shard queues, in workflow
-        // order.  This runs before any window, so every arrival is among the first insertions
-        // of its shard's queue and per-node event order stays shard-count independent.
+        // Schedule the deferred arrivals into the node queue, in workflow order.  This runs
+        // before any window, so every arrival is among the queue's first insertions.
         // Arrivals beyond the horizon are dropped here — those workflows never enter the
         // system and are never counted as submitted.
+        let mut queue = EventQueue::new();
         for (wf, w) in workflows.iter().enumerate() {
             if !w.arrived && w.submitted_at <= horizon {
-                let shard = map.shard_of[w.home];
-                let local = map.local_of[w.home];
-                shards[shard]
-                    .queue
-                    .schedule(w.submitted_at, ShardEvent::WorkflowArrival { local, wf });
+                queue.schedule(
+                    w.submitted_at,
+                    NodeEvent::WorkflowArrival { node: w.home, wf },
+                );
             }
         }
 
-        // Schedule the pre-drawn stochastic fault events into their owning shards' queues, in
-        // the schedule's canonical node-major order.  Like the arrivals above this runs before
-        // any window, so per-node event order — and with it every report byte — is independent
-        // of the shard count.  The schedule is already clipped to the horizon at build.
+        // Schedule the pre-drawn stochastic fault events, in the schedule's canonical
+        // node-major order.  The schedule is already clipped to the horizon at build.
         for &(node, time, down) in world.faults.iter() {
-            let shard = map.shard_of[node];
-            let local = map.local_of[node];
             let event = if down {
-                ShardEvent::NodeFailure { local }
+                NodeEvent::NodeFailure { node }
             } else {
-                ShardEvent::NodeRepair { local }
+                NodeEvent::NodeRepair { node }
             };
-            shards[shard].queue.schedule(time, event);
+            queue.schedule(time, event);
         }
 
-        ShardedEngine {
+        Engine {
             config: world.config.clone(),
             scheduler,
             transfer: Arc::clone(&world.transfer),
@@ -304,9 +297,10 @@ impl ShardedEngine {
             gossip: world.gossip.clone(),
             gossip_rng: world.gossip_rng.clone(),
             churn_rng: world.churn_rng.clone(),
-            gossip_scratch: Vec::with_capacity(map.len()),
-            shards,
-            map,
+            gossip_scratch: Vec::with_capacity(world.nodes.len()),
+            nodes: world.nodes.clone(),
+            queue,
+            observing: false,
             workflows,
             home_of: Arc::clone(&world.home_of),
             metrics,
@@ -315,11 +309,11 @@ impl ShardedEngine {
             now: SimTime::ZERO,
             horizon,
             next_seq: 0,
+            next_run: 0,
+            emit_seq: 0,
+            fault_seq: 0,
             dispatched_tasks: 0,
-            windows: 0,
-            max_window_width: SimDuration::ZERO,
-            cross_shard_events: 0,
-            min_cross_shard_delay: None,
+            executed: 0,
             arrivals: Vec::new(),
             notices: Vec::new(),
             observations: Vec::new(),
@@ -337,51 +331,10 @@ impl ShardedEngine {
 
     // ----- public read-only surface --------------------------------------------------------
 
-    /// Aggregate counters of the sharded run so far: window count and widths, per-shard event
-    /// totals and cross-shard traffic.
-    pub fn stats(&self) -> ShardStats {
-        ShardStats {
-            shards: self.shards.len(),
-            windows: self.windows,
-            max_window_width: self.max_window_width,
-            events: self.shards.iter().map(|s| s.events_processed).sum(),
-            cross_shard_events: self.cross_shard_events,
-            min_cross_shard_delay: self.min_cross_shard_delay,
-        }
-    }
-
-    /// Number of shards the node population is partitioned into (the resolved
-    /// [`ShardSpec`](crate::config::ShardSpec)).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The conservative time-window width: no cross-shard event can arrive sooner than this,
-    /// so shards within a window are independent.  See [`Scenario::lookahead`].
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
-    /// Mutable access to one shard's dedicated RNG stream.
-    ///
-    /// The stream is split deterministically from the master seed by shard index, so draws in
-    /// one shard never perturb any other shard (or any other component).  The engine itself
-    /// draws nothing from it today; it is the seam for stochastic *in-shard* models — e.g.
-    /// per-node failure injection — that future substrates can consume without threading a new
-    /// RNG through the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn shard_rng_mut(&mut self, shard: usize) -> &mut SimRng {
-        &mut self.shards[shard].rng
-    }
-
-    /// Task executions started so far, summed over the per-shard counters.  Can exceed
-    /// [`ShardedEngine::dispatched_tasks`] on preemptive substrates, where displaced tasks
-    /// restart from scratch.
+    /// Task executions started so far.  Can exceed [`Engine::dispatched_tasks`] on
+    /// preemptive substrates, where displaced tasks restart from scratch.
     pub fn executed_tasks(&self) -> u64 {
-        self.shards.iter().map(|s| s.executed).sum()
+        self.executed
     }
 
     /// Tasks dispatched by the first scheduling phase so far.
@@ -391,27 +344,11 @@ impl ShardedEngine {
 
     // ----- helpers -------------------------------------------------------------------------
 
-    fn node(&self, id: NodeId) -> &NodeRuntime {
-        &self.shards[self.map.shard_of[id]].nodes[self.map.local_of[id]]
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> &mut NodeRuntime {
-        &mut self.shards[self.map.shard_of[id]].nodes[self.map.local_of[id]]
-    }
-
-    /// Refill the reusable gossip-state buffer, iterating nodes in *global* id order so the
-    /// gossip protocol (and its floating-point averages) never see the shard partition.
+    /// Refill the reusable gossip-state buffer in node order.
     fn fill_gossip_scratch(&mut self, now: SimTime) {
-        let Self {
-            shards,
-            map,
-            gossip_scratch,
-            ..
-        } = self;
-        gossip_scratch.clear();
-        for id in 0..map.len() {
-            let nd = &shards[map.shard_of[id]].nodes[map.local_of[id]];
-            gossip_scratch.push(LocalNodeState {
+        self.gossip_scratch.clear();
+        for nd in &self.nodes {
+            self.gossip_scratch.push(LocalNodeState {
                 alive: nd.alive,
                 capacity_mips: nd.advertised_capacity_mips(),
                 slots: nd.slots,
@@ -422,7 +359,7 @@ impl ShardedEngine {
     }
 
     /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
-    /// accessors in global node order — `O(nodes)` total, no heap walks.
+    /// accessors in node order — `O(nodes)` total, no heap walks.
     fn grid_sample(&self) -> GridSample {
         let mut sample = GridSample {
             alive_nodes: 0,
@@ -431,8 +368,7 @@ impl ShardedEngine {
             running_tasks: 0,
             queued_load_mi: 0.0,
         };
-        for id in 0..self.map.len() {
-            let nd = self.node(id);
+        for nd in &self.nodes {
             if !nd.alive {
                 continue;
             }
@@ -469,11 +405,11 @@ impl ShardedEngine {
     /// waiting tasks requeue for free and running tasks take their workflow down, exactly the
     /// original churn semantics.
     fn handle_departure(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
-        if !self.node(node).alive {
+        if !self.nodes[node].alive {
             return;
         }
-        let rate_mips = self.node(node).capacity_mips;
-        let (waiting, running) = self.node_mut(node).depart(now);
+        let rate_mips = self.nodes[node].capacity_mips;
+        let (waiting, running) = self.nodes[node].depart(now);
         self.robustness.node_failures += 1;
         for (wf, task) in waiting {
             obs.emit(|o| o.on_task_lost(now, node, wf, task));
@@ -498,8 +434,8 @@ impl ShardedEngine {
     }
 
     fn handle_join(&mut self, node: NodeId, now: SimTime, obs: &mut Observers<'_, '_>) {
-        if !self.node(node).alive {
-            self.node_mut(node).join();
+        if !self.nodes[node].alive {
+            self.nodes[node].join();
             self.robustness.node_repairs += 1;
             obs.emit(|o| o.on_node_joined(now, node));
         }
@@ -513,20 +449,20 @@ impl ShardedEngine {
         if df <= 0.0 {
             return;
         }
-        let total = self.map.len();
+        let total = self.nodes.len();
         let churn_count = ((total as f64) * df).round() as usize;
         if churn_count == 0 {
             return;
         }
         let alive_churnable: Vec<NodeId> = (0..total)
             .filter(|&i| {
-                let nd = self.node(i);
+                let nd = &self.nodes[i];
                 nd.churnable && nd.alive
             })
             .collect();
         let dead_churnable: Vec<NodeId> = (0..total)
             .filter(|&i| {
-                let nd = self.node(i);
+                let nd = &self.nodes[i];
                 nd.churnable && !nd.alive
             })
             .collect();
@@ -571,7 +507,7 @@ impl ShardedEngine {
 
     /// Apply the configured [`RecoveryPolicy`] to one task that was resident on a failed
     /// node.  Shared by the churn step (barrier-side departures) and the stochastic fault
-    /// pass (per-task `Lost` records merged from the shards).  A *waiting* copy never
+    /// pass (per-task `Lost` records of the window).  A *waiting* copy never
     /// executed anything, so requeueing it is free under every policy — exactly the original
     /// churn engine's behavior; only *running* losses consume retry budget, cash in
     /// checkpoints, or fail the workflow.
@@ -679,11 +615,9 @@ impl ShardedEngine {
     /// window's start.  An in-flight completion event of the cancelled run finds no matching
     /// running entry and goes stale, exactly like after a preemption.
     fn cancel_replica(&mut self, wf: usize, task: TaskId, site: NodeId) {
-        let shard = self.map.shard_of[site];
-        let local = self.map.local_of[site];
         let now = self.now;
         let wasted_mi = {
-            let node = &mut self.shards[shard].nodes[local];
+            let node = &mut self.nodes[site];
             if node.ready.remove(wf, task).is_some() {
                 return;
             }
@@ -693,16 +627,15 @@ impl ShardedEngine {
             }
         };
         self.robustness.wasted_mi += wasted_mi;
-        self.shards[shard]
-            .queue
-            .schedule(now, ShardEvent::SlotFreed { local });
+        self.queue
+            .schedule(now, NodeEvent::SlotFreed { node: site });
     }
 
     // ----- first phase ---------------------------------------------------------------------
 
     fn scheduling_phase_one(&mut self, now: SimTime, obs: &mut Observers<'_, '_>) {
-        let home_nodes: Vec<NodeId> = (0..self.map.len())
-            .filter(|&i| self.node(i).alive && !self.home_of[i].is_empty())
+        let home_nodes: Vec<NodeId> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].alive && !self.home_of[i].is_empty())
             .collect();
         for home in home_nodes {
             if self.workflows[self.home_of[home][0]].plan.is_some() {
@@ -731,7 +664,7 @@ impl ShardedEngine {
                 }
                 let planned =
                     self.workflows[wf].plan.as_ref().expect("full-ahead plan")[task.index()];
-                let target = if self.node(planned).alive {
+                let target = if self.nodes[planned].alive {
                     planned
                 } else {
                     home
@@ -809,7 +742,7 @@ impl ShardedEngine {
             .gossip
             .rss(home)
             .records()
-            .filter(|r| self.node(r.node).alive)
+            .filter(|r| self.nodes[r.node].alive)
             .map(|r| CandidateNode {
                 node: r.node,
                 capacity_mips: r.capacity_mips,
@@ -820,9 +753,9 @@ impl ShardedEngine {
         if candidates.is_empty() {
             candidates.push(CandidateNode {
                 node: home,
-                capacity_mips: self.node(home).advertised_capacity_mips(),
-                slots: self.node(home).slots,
-                total_load_mi: self.node(home).total_load_mi(now),
+                capacity_mips: self.nodes[home].advertised_capacity_mips(),
+                slots: self.nodes[home].slots,
+                total_load_mi: self.nodes[home].total_load_mi(now),
             });
         }
 
@@ -866,7 +799,7 @@ impl ShardedEngine {
                 if extra.len() + 1 >= copies {
                     break;
                 }
-                if c.node != d.target && !extra.contains(&c.node) && self.node(c.node).alive {
+                if c.node != d.target && !extra.contains(&c.node) && self.nodes[c.node].alive {
                     extra.push(c.node);
                 }
             }
@@ -888,7 +821,7 @@ impl ShardedEngine {
     }
 
     /// Migrate a task to its chosen resource node: mark it dispatched, enqueue it in the ready
-    /// set and schedule the completion of its (true) data transfers into the target's shard.
+    /// set and schedule the completion of its (true) data transfers.
     /// A `replica` dispatch (the fan-out copies of `RecoveryPolicy::Replicate`) enqueues and
     /// transfers like the primary but never touches workflow progress or the dispatch
     /// counters — the task is dispatched once, executed possibly many times.
@@ -896,11 +829,10 @@ impl ShardedEngine {
     /// Returns `false` when the migration failed because the target is dead (the task then
     /// simply stays a schedule point).
     ///
-    /// This is the **only** place events enter a shard queue from outside the shard, and it
-    /// runs at window barriers (the scheduling cadence).  For a cross-shard dispatch the
-    /// transfer delay includes at least one network hop's latency, which lower-bounds it by
-    /// the engine's lookahead — the conservative-PDES soundness invariant tracked in
-    /// [`ShardStats::min_cross_shard_delay`].
+    /// This is the **only** place one node schedules an event for another, and it runs at
+    /// window barriers (the scheduling cadence).  For a remote dispatch the transfer delay
+    /// includes at least one network hop's latency, which lower-bounds it by the engine's
+    /// lookahead — the conservative-window soundness invariant, checked in debug builds.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_task(
         &mut self,
@@ -915,7 +847,7 @@ impl ShardedEngine {
         obs: &mut Observers<'_, '_>,
         replica: bool,
     ) -> bool {
-        if !self.node(target).alive {
+        if !self.nodes[target].alive {
             // A stale RSS record pointed at a node that just churned away; the migration fails
             // before any computation happens, so the task simply stays a schedule point and is
             // retried at the next scheduling cycle.
@@ -962,38 +894,32 @@ impl ShardedEngine {
         let view = ReadyTaskView {
             workflow_ms_secs: ms_secs,
             rpm_secs,
-            exec_secs: self.node(target).execution_secs(load_mi),
+            exec_secs: self.nodes[target].execution_secs(load_mi),
             sufferage_secs,
             enqueued_seq: self.next_seq,
         };
         self.next_seq += 1;
         let key = self.scheduler.ready_key(&view);
-        let target_shard = self.map.shard_of[target];
-        let local = self.map.local_of[target];
-        self.shards[target_shard].nodes[local]
-            .ready
-            .insert(ReadyEntry {
-                wf,
-                task,
-                load_mi,
-                key,
-                view,
-                data_ready: false,
-            });
+        self.nodes[target].ready.insert(ReadyEntry {
+            wf,
+            task,
+            load_mi,
+            key,
+            view,
+            data_ready: false,
+        });
         obs.emit(|o| o.on_task_dispatched(now, wf, task, target));
         let delay = SimDuration::from_secs_f64(transfer_secs);
-        if self.map.shard_of[home] != target_shard {
-            self.cross_shard_events += 1;
-            self.min_cross_shard_delay = Some(match self.min_cross_shard_delay {
-                Some(d) if d <= delay => d,
-                _ => delay,
-            });
-        }
-        let epoch = self.shards[target_shard].nodes[local].epoch;
-        self.shards[target_shard].queue.schedule(
+        debug_assert!(
+            home == target || delay >= self.lookahead,
+            "remote dispatch {home} -> {target} arrives after {delay}, below the lookahead {}",
+            self.lookahead
+        );
+        let epoch = self.nodes[target].epoch;
+        self.queue.schedule(
             now + delay,
-            ShardEvent::DataReady {
-                local,
+            NodeEvent::DataReady {
+                node: target,
                 epoch,
                 wf,
                 task,
@@ -1004,11 +930,11 @@ impl ShardedEngine {
 
     // ----- the window loop -------------------------------------------------------------------
 
-    /// Bounds of the next conservative window: `start` is the earliest pending event anywhere,
+    /// Bounds of the next conservative window: `start` is the earliest pending event,
     /// `end` caps it at one lookahead, clipped to the next grid-wide cadence instant and the
     /// horizon.  `None` when the run is over (no pending event at or before the horizon).
     fn next_window(&self) -> Option<(SimTime, SimTime)> {
-        let local_min = self.shards.iter().filter_map(|s| s.queue.peek_time()).min();
+        let local_min = self.queue.peek_time();
         let global_min = self.globals.peek_time();
         let start = match (local_min, global_min) {
             (Some(a), Some(b)) => a.min(b),
@@ -1027,32 +953,20 @@ impl ShardedEngine {
         Some((start, end))
     }
 
-    /// Execute one conservative time window: run every shard (in parallel when the pool and the
-    /// partition allow), then run the barrier — apply completion notices, replay observations,
+    /// Execute one conservative time window: drain the node events up to its end, then run
+    /// the barrier — apply arrivals and completion notices, replay observations, apply faults,
     /// handle the grid-wide cadences due at the window's end.  Returns the window's end, or
     /// `None` when the run is over.
     fn advance_window(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
         let (start, end) = self.next_window()?;
-        {
-            let Self {
-                shards,
-                scheduler,
-                config,
-                ..
-            } = self;
-            let ctx = WindowCtx {
-                scheduler: &**scheduler,
-                preemptive: config.resource.is_preemptive(),
-                observing: !observers.is_empty(),
-            };
-            run_shards(shards, end, &ctx);
-        }
+        debug_assert!(
+            end.saturating_duration_since(start) <= self.lookahead,
+            "window [{start}, {end}] is wider than the lookahead {}",
+            self.lookahead
+        );
+        self.observing = !observers.is_empty();
+        self.run_window(end);
         self.now = end;
-        self.windows += 1;
-        let width = end.saturating_duration_since(start);
-        if width > self.max_window_width {
-            self.max_window_width = width;
-        }
         self.apply_arrivals();
         self.apply_notices();
         self.flush_observations(observers);
@@ -1061,48 +975,35 @@ impl ShardedEngine {
         Some(end)
     }
 
-    /// Barrier step 0: merge the shards' workflow arrivals, sort them canonically by
-    /// `(time, workflow)` and apply them — the workflow becomes visible to scheduling (its
-    /// next chance is the scheduling cadence) and the submission is counted.  Runs before
-    /// [`ShardedEngine::apply_notices`]: nothing can complete before it arrives.
+    /// Barrier step 0: sort the window's workflow arrivals canonically by `(time, workflow)`
+    /// and apply them — the workflow becomes visible to scheduling (its next chance is the
+    /// scheduling cadence) and the submission is counted.  Runs before
+    /// [`Engine::apply_notices`]: nothing can complete before it arrives.
     fn apply_arrivals(&mut self) {
-        let Self {
-            shards,
-            arrivals,
-            workflows,
-            metrics,
-            ..
-        } = self;
-        arrivals.clear();
-        for s in shards.iter_mut() {
-            arrivals.append(&mut s.arrivals);
-        }
-        if arrivals.is_empty() {
+        if self.arrivals.is_empty() {
             return;
         }
-        sort_arrivals(arrivals);
-        for a in arrivals.iter() {
-            workflows[a.wf].arrived = true;
-            metrics.record_submission();
+        sort_arrivals(&mut self.arrivals);
+        for a in self.arrivals.drain(..) {
+            self.workflows[a.wf].arrived = true;
+            self.metrics.record_submission();
         }
     }
 
-    /// Barrier step 1: merge the shards' completion notices, sort them canonically and apply
-    /// them to workflow state, metrics and the work ledger.  Runs unconditionally — workflow
-    /// progress is engine state, not an observation.
+    /// Barrier step 1: sort the window's completion notices canonically and apply them to
+    /// workflow state, metrics and the work ledger.  Runs unconditionally — workflow progress
+    /// is engine state, not an observation.
     fn apply_notices(&mut self) {
-        let mut notices = std::mem::take(&mut self.notices);
-        notices.clear();
         self.completed_markers.clear();
-        for s in self.shards.iter_mut() {
-            notices.append(&mut s.outbox);
+        if self.notices.is_empty() {
+            return;
         }
-        if !notices.is_empty() {
-            sort_notices(&mut notices);
-            for n in notices.iter() {
-                self.apply_one_notice(n);
-            }
+        let mut notices = std::mem::take(&mut self.notices);
+        sort_notices(&mut notices);
+        for n in notices.iter() {
+            self.apply_one_notice(n);
         }
+        notices.clear();
         self.notices = notices;
     }
 
@@ -1148,18 +1049,13 @@ impl ShardedEngine {
         }
     }
 
-    /// Barrier step 3 (after the observation replay): merge the shards' fault records, sort
-    /// them canonically by `(time, node, seq)` and run the recovery policy over them — so the
-    /// gossip forget / recovery decisions and their floating-point accounting never depend on
-    /// the partition.  The `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks
-    /// for these faults are *not* emitted here: the shards buffered them, and the observation
-    /// replay already delivered them interleaved with the task events in canonical order.
+    /// Barrier step 3 (after the observation replay): sort the window's fault records
+    /// canonically by `(time, node, seq)` and run the recovery policy over them.  The
+    /// `on_node_departed` / `on_node_joined` / `on_task_lost` callbacks for these faults are
+    /// *not* emitted here: the window buffered them, and the observation replay already
+    /// delivered them interleaved with the task events in canonical order.
     fn apply_faults(&mut self, observers: &mut [&mut dyn Observer]) {
         let mut records = std::mem::take(&mut self.fault_records);
-        records.clear();
-        for s in self.shards.iter_mut() {
-            records.append(&mut s.faults);
-        }
         if !records.is_empty() {
             sort_faults(&mut records);
             let mut obs = Observers(observers);
@@ -1195,29 +1091,25 @@ impl ShardedEngine {
                 }
             }
         }
+        records.clear();
         self.fault_records = records;
     }
 
-    /// Barrier step 2: merge the shards' buffered observer callbacks and replay them in the
-    /// canonical `(time, node, seq)` order, splicing `on_workflow_completed` right after the
-    /// exit task's finish — exactly where the monolithic loop emitted it.
+    /// Barrier step 2: replay the window's buffered observer callbacks in the canonical
+    /// `(time, node, seq)` order, splicing `on_workflow_completed` right after the exit task's
+    /// finish.
     fn flush_observations(&mut self, observers: &mut [&mut dyn Observer]) {
         if observers.is_empty() {
             return;
         }
         let Self {
-            shards,
             observations,
             completed_markers,
             ..
         } = self;
-        observations.clear();
-        for s in shards.iter_mut() {
-            observations.append(&mut s.obs_buf);
-        }
         sort_observations(observations);
         let mut obs = Observers(observers);
-        for e in observations.iter() {
+        for e in observations.drain(..) {
             match e.kind {
                 BufferedKind::Started { wf, task } => {
                     obs.emit(|o| o.on_task_started(e.time, wf, task, e.node));
@@ -1311,17 +1203,17 @@ impl ShardedEngine {
     }
 }
 
-/// One in-flight run: the sharded engine stepped one conservative window at a time.
+/// One in-flight run: the engine stepped one conservative window at a time.
 /// The public face of this type is [`Simulation`](crate::simulation::Simulation), which owns
 /// the observer list; the session only borrows observers per step so the engine stays free of
 /// observer lifetimes.
 pub(crate) struct EngineSession {
-    state: ShardedEngine,
+    state: Engine,
 }
 
 impl EngineSession {
     pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
-        let mut state = ShardedEngine::from_scenario(scenario, scheduler);
+        let mut state = Engine::from_scenario(scenario, scheduler);
         state
             .globals
             .schedule(SimTime::ZERO, GridEvent::GossipCycle);
@@ -1379,10 +1271,6 @@ impl EngineSession {
         self.state.scheduler.label()
     }
 
-    pub(crate) fn shard_stats(&self) -> ShardStats {
-        self.state.stats()
-    }
-
     /// Close the session: take the final metrics sample (at the horizon if the run completed,
     /// at the current time if it was cut short), mirror it to the observers, and build the
     /// report.  A fully-stepped session produces a report byte-identical to the one-shot run.
@@ -1423,7 +1311,7 @@ mod tests {
 
     /// Run a session to the horizon and hand back the internal engine, for white-box tests
     /// asserting on dispatch/execution counters.
-    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> ShardedEngine {
+    fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Engine {
         let scenario = Scenario::build(cfg).expect("test config is valid");
         let mut session = EngineSession::new(&scenario, Box::new(algo));
         while session.step(&mut []).is_some() {}
@@ -1475,62 +1363,6 @@ mod tests {
             a.completed != c.completed || a.act_secs() != c.act_secs(),
             "different seeds should produce different runs"
         );
-    }
-
-    #[test]
-    fn shard_count_never_changes_results() {
-        let run_at = |shards: usize, seed: u64| {
-            let cfg = tiny_config(seed).with_shards(shards);
-            let scenario = Scenario::build(cfg).unwrap();
-            let r = scenario.simulate_algorithm(Algorithm::Dsmf).run();
-            (
-                r.completed,
-                r.failed,
-                r.act_secs().to_bits(),
-                r.average_efficiency().to_bits(),
-                r.avg_rss_size.to_bits(),
-            )
-        };
-        for seed in [1, 3] {
-            let base = run_at(1, seed);
-            for shards in [2, 4, 8] {
-                assert_eq!(
-                    run_at(shards, seed),
-                    base,
-                    "seed {seed}: {shards} shards diverged from the single-shard run"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn window_invariants_hold_over_a_full_run() {
-        let cfg = tiny_config(1).with_shards(4);
-        let scenario = Scenario::build(cfg).unwrap();
-        let lookahead = scenario.lookahead();
-        let mut session = EngineSession::new(
-            &scenario,
-            Box::new(AlgorithmConfig::paper_default(Algorithm::Dsmf)),
-        );
-        while session.step(&mut []).is_some() {}
-        let stats = session.shard_stats();
-        assert_eq!(stats.shards, 4);
-        assert!(stats.windows > 0);
-        assert!(stats.events > 0);
-        assert!(
-            stats.max_window_width <= lookahead,
-            "window width {} exceeds the lookahead {}",
-            stats.max_window_width,
-            lookahead
-        );
-        // Conservative-PDES soundness: nothing ever crossed a shard boundary faster than the
-        // lookahead the windows were sized by.
-        if let Some(d) = stats.min_cross_shard_delay {
-            assert!(
-                d >= lookahead,
-                "a cross-shard event was delivered after {d}, below the lookahead {lookahead}"
-            );
-        }
     }
 
     #[test]

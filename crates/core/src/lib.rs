@@ -43,9 +43,6 @@
 //! assert!(!probe.samples().is_empty());
 //! ```
 //!
-//! The pre-split [`GridSimulation`] facade remains as a deprecated shim; it rebuilds the world
-//! on every run.
-//!
 //! ## The dual-phase model
 //!
 //! Every task crosses two scheduling phases before it runs:
@@ -72,8 +69,8 @@
 //! | [`config`]    | experiment configuration (Table I defaults, [`config::ResourceModel`] slots, [`config::FaultModel`] faults, [`config::RecoveryPolicy`] recovery, load factor, CCR) |
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
-//! | [`engine`]    | the sharded grid engine: per-node / per-workflow runtime, transfer model, conservative time-window event loop |
-//! | [`simulation`]| [`Simulation`] sessions and the deprecated [`GridSimulation`] shim |
+//! | [`engine`]    | the grid engine: per-node / per-workflow runtime, transfer model, conservative time-window event loop |
+//! | [`simulation`]| [`Simulation`] sessions |
 //! | [`observer`]  | the [`Observer`] seam, [`TimeSeriesProbe`] and [`TraceRecorder`] |
 //! | [`worked_example`] | the two-workflow scenario of Fig. 3 used by tests and `repro --fig 3` |
 
@@ -97,18 +94,15 @@ pub mod worked_example;
 pub use algorithm::{Algorithm, AlgorithmConfig, SecondPhase};
 pub use config::{
     ArrivalProcess, CapacityModel, ChurnConfig, CorrelatedOutage, FaultModel, GridConfig,
-    PreemptionPolicy, RecoveryPolicy, ResourceModel, ShardSpec, SlotClass, SlotModel,
-    StochasticFaults, StreamKind, StreamSeeds, WorkloadSource,
+    PreemptionPolicy, RecoveryPolicy, ResourceModel, SlotClass, SlotModel, StochasticFaults,
+    StreamKind, StreamSeeds, WorkloadSource,
 };
-pub use engine::ShardStats;
 pub use error::ConfigError;
 pub use estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecorder};
 pub use report::SimulationReport;
 pub use scenario::Scenario;
 pub use scheduler::Scheduler;
-#[allow(deprecated)]
-pub use simulation::GridSimulation;
 pub use simulation::Simulation;
 
 /// Identifier of a peer node (shared dense index with `p2pgrid-topology` and `p2pgrid-gossip`).

@@ -24,20 +24,19 @@
 //! Observers never mutate engine state, so a run with observers attached produces a report
 //! byte-identical to the same run without them.
 //!
-//! # Ordering under the sharded event loop
+//! # Ordering within a time window
 //!
-//! Observers always run serially on the driving thread, never inside a shard: events raised
-//! while a conservative time window executes (task starts, finishes, displacements) are
-//! buffered per shard and replayed at the window barrier through an ordered merge keyed by
-//! `(time, global node id, per-node emission order)`.  The stream an observer sees is
-//! therefore *identical for every shard count and pool width* — same events, same order, same
-//! timestamps (pinned by `tests/sharding.rs`).  Within one window the merge orders concurrent
-//! events of different nodes by node id; everything a single node emits keeps its causal
-//! order.  Grid-wide events (dispatch cadences, churn, gossip, samples) happen at barriers and
-//! are emitted directly, after the window's buffered events.
+//! Events raised while a conservative time window executes (task starts, finishes,
+//! displacements, arrivals, stochastic faults) are buffered and replayed at the window barrier
+//! sorted by `(time, node id, emission order)`.  Within one window, concurrent events of
+//! different nodes therefore arrive in node-id order, and everything a single node emits keeps
+//! its causal order.  That order is part of the engine's contract: the full stream is pinned
+//! byte for byte by `tests/pinned_runs.rs`.  Grid-wide events (dispatch cadences, churn,
+//! gossip, samples) happen at barriers and are emitted directly, after the window's buffered
+//! events.
 //!
 //! With *no* observers registered the engine skips buffering entirely (the observer fast
-//! path — shards don't even record events), so observation is strictly pay-for-use.
+//! path), so observation is strictly pay-for-use.
 
 use crate::NodeId;
 use p2pgrid_sim::SimTime;

@@ -78,23 +78,23 @@ pub(crate) struct ScenarioWorld {
     /// The pre-drawn stochastic failure schedule: `(node, time, down)` transitions, node-major
     /// and time-ascending per node, clipped to the horizon.  Empty unless the fault model is
     /// [`FaultModel::Stochastic`].  Pre-drawing the whole schedule at build time (one RNG
-    /// sub-stream per node / outage group) is what keeps failures byte-identical across shard
-    /// counts: the events are scheduled into their owners' shard queues at session start, and
-    /// no shard ever draws failure randomness live.
+    /// sub-stream per node / outage group) makes failures independent of scheduling: the
+    /// events are scheduled into the node event queue at session start, and no run ever draws
+    /// failure randomness live.
     pub(crate) faults: Vec<(NodeId, SimTime, bool)>,
-    /// Conservative-PDES lookahead: a lower bound on how far ahead of "now" any cross-node
+    /// Conservative lookahead: a lower bound on how far ahead of "now" any cross-node
     /// interaction can land, derived once at build time (see [`Scenario::lookahead`]).
     pub(crate) lookahead: SimDuration,
 }
 
-/// The conservative time-window width of the sharded event loop under `config`, given the
+/// The conservative time-window width of the event loop under `config`, given the
 /// topology's minimum positive pairwise latency.
 ///
 /// Any effect one node has on another travels either over the network (a data transfer,
 /// lower-bounded by the minimum pairwise path latency) or through a gossip exchange (which
 /// only happens at multiples of the gossip interval).  The smaller of the two therefore
-/// bounds the earliest cross-shard interaction, and shards may safely run `lookahead` ahead
-/// of each other.  Clamped below at 1 ms (the virtual-time resolution) so degenerate
+/// bounds the earliest cross-node interaction, and a window of `lookahead` holds only
+/// node-local events.  Clamped below at 1 ms (the virtual-time resolution) so degenerate
 /// topologies still make progress one tick at a time.
 fn compute_lookahead(config: &GridConfig, min_latency_ms: f64) -> SimDuration {
     let latency_bound = if min_latency_ms.is_finite() && min_latency_ms >= 1.0 {
@@ -650,14 +650,14 @@ impl Scenario {
         self.world.true_costs
     }
 
-    /// The conservative-PDES lookahead of this world: the width of the lockstep time windows
-    /// the sharded event loop advances in.
+    /// The conservative lookahead of this world: the maximum width of the time windows
+    /// the event loop advances in.
     ///
     /// Derived at build time as the smaller of the topology's minimum positive pairwise path
     /// latency (any data transfer between distinct nodes takes at least this long) and the
     /// gossip interval (the only other cross-node interaction channel), floored at the 1 ms
-    /// virtual-time resolution.  Within one window shards cannot affect each other, which is
-    /// what makes shard-parallel execution exact rather than approximate.
+    /// virtual-time resolution.  Within one window no node can affect another, so a window
+    /// only ever processes node-local events.
     pub fn lookahead(&self) -> SimDuration {
         self.world.lookahead
     }

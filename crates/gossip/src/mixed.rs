@@ -15,9 +15,8 @@
 //!
 //! [`MixedGossip::run_cycle`] borrows the snapshot slice and advances the caller's RNG stream
 //! in place; the scheduling core reuses one scratch buffer for the snapshot across cycles
-//! (filled in global node order, so the per-node state the protocol sees is independent of how
-//! the core's event loop is sharded).  The gossip interval also caps the engine's conservative
-//! window width, so every cycle runs at a window barrier over a settled grid.
+//! (filled in node order).  The gossip interval also caps the engine's conservative window
+//! width, so every cycle runs at a window barrier over a settled grid.
 
 use crate::aggregation::{AggregationConfig, AggregationGossip};
 use crate::epidemic::{EpidemicConfig, EpidemicGossip, LocalAdvertisement};

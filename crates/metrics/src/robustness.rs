@@ -10,8 +10,7 @@
 //! failed), and the latency between losing a task and getting its replacement dispatched.
 //!
 //! All accumulation happens at the engine's window barriers in canonical event order, so
-//! every figure derived from these counters is byte-identical across shard counts and pool
-//! widths.
+//! every figure derived from these counters is byte-identical across pool widths.
 
 /// Fault and recovery counters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

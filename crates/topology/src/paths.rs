@@ -117,8 +117,8 @@ impl PairwiseMetrics {
     /// Smallest positive finite pairwise path latency in milliseconds.
     ///
     /// Any data transfer between two *distinct* connected nodes takes at least this long, so
-    /// it lower-bounds the cross-node interaction delay — the quantity a conservative PDES
-    /// lookahead is derived from.  `f64::INFINITY` when no two nodes are connected (a
+    /// it lower-bounds the cross-node interaction delay — the quantity a conservative
+    /// event-loop lookahead is derived from.  `f64::INFINITY` when no two nodes are connected (a
     /// single-node or fully disconnected topology), in which case callers should fall back to
     /// another bound (e.g. the gossip interval).
     pub fn min_positive_latency_ms(&self) -> f64 {

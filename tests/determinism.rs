@@ -5,9 +5,8 @@
 //! scheduling, float accumulation order changing between runs, heap tie-breaks depending on
 //! allocation addresses) breaks these assertions immediately.
 //!
-//! Since the Scenario/Session split, the same property also pins the *setup/run separation*:
-//! a session started from a pre-built shared [`Scenario`] must be byte-identical to the legacy
-//! consume-on-run `GridSimulation` path that rebuilt the world every time.
+//! The same property also pins the *setup/run separation*: a session started from a pre-built
+//! shared [`Scenario`] must be byte-identical to a session on a world built fresh for that run.
 
 use p2pgrid::prelude::*;
 
@@ -34,13 +33,7 @@ fn het_preemptive(seed: u64) -> GridConfig {
     )
 }
 
-/// The legacy one-shot facade, kept as a deprecated shim; these tests are its pin against the
-/// scenario path.
-#[allow(deprecated)]
-fn legacy_run(cfg: GridConfig, alg: Algorithm) -> SimulationReport {
-    GridSimulation::with_algorithm(cfg, alg).run()
-}
-
+/// One run on a world built fresh for it.
 fn scenario_run(cfg: GridConfig, alg: Algorithm) -> SimulationReport {
     Scenario::build(cfg).unwrap().simulate_algorithm(alg).run()
 }
@@ -153,7 +146,7 @@ fn different_seeds_change_the_fingerprint() {
 #[test]
 fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
     // The headline reuse guarantee: build the world once, run DSMF twice — both sessions must
-    // be byte-identical to two fresh legacy `GridSimulation` runs at the same seed.  Covers
+    // be byte-identical to two runs on freshly built worlds at the same seed.  Covers
     // the plain static grid, a churned grid and the heterogeneous+preemptive substrate, since
     // each exercises a different sampled/replayed RNG stream.
     let configs = [
@@ -165,28 +158,28 @@ fn one_scenario_run_twice_matches_two_fresh_legacy_runs() {
         let scenario = Scenario::build(cfg.clone()).unwrap();
         let first = scenario.simulate_algorithm(Algorithm::Dsmf).run();
         let second = scenario.simulate_algorithm(Algorithm::Dsmf).run();
-        let legacy_a = legacy_run(cfg.clone(), Algorithm::Dsmf);
-        let legacy_b = legacy_run(cfg, Algorithm::Dsmf);
+        let fresh_a = scenario_run(cfg.clone(), Algorithm::Dsmf);
+        let fresh_b = scenario_run(cfg, Algorithm::Dsmf);
         assert!(first.completed > 0, "run must make progress");
         assert_eq!(fingerprint(&first), fingerprint(&second));
-        assert_eq!(fingerprint(&first), fingerprint(&legacy_a));
-        assert_eq!(fingerprint(&legacy_a), fingerprint(&legacy_b));
+        assert_eq!(fingerprint(&first), fingerprint(&fresh_a));
+        assert_eq!(fingerprint(&fresh_a), fingerprint(&fresh_b));
     }
 }
 
 #[test]
 fn shared_scenario_eight_algorithm_sweep_matches_legacy_per_run_rebuild() {
     // The acceptance criterion of the Scenario split: one shared world across the full
-    // eight-algorithm sweep produces byte-identical reports to the legacy path that rebuilt
-    // the world for every algorithm.
+    // eight-algorithm sweep produces byte-identical reports to rebuilding the world for every
+    // algorithm.
     let scenario = Scenario::build(config(84)).unwrap();
     for alg in Algorithm::ALL {
         let shared = scenario.simulate_algorithm(alg).run();
-        let rebuilt = legacy_run(config(84), alg);
+        let rebuilt = scenario_run(config(84), alg);
         assert_eq!(
             fingerprint(&shared),
             fingerprint(&rebuilt),
-            "{alg}: shared-scenario run diverged from the legacy rebuild"
+            "{alg}: shared-scenario run diverged from the fresh rebuild"
         );
     }
 }

@@ -1,9 +1,6 @@
 //! The fault-injection substrate end to end: conservation invariants under arbitrary fault
-//! schedules × every recovery policy, and byte-identity of faulty runs across shard counts.
-//!
-//! The CI matrix re-runs this suite under `P2PGRID_POOL_THREADS` ∈ {1, 8} ×
-//! `P2PGRID_SHARDS` ∈ {1, 4}, so each pin here also covers pool widths; shard counts are
-//! additionally swept explicitly via `with_shards`, which overrides the env knob.
+//! schedules × every recovery policy.  Byte-for-byte pins of faulty runs (every recovery
+//! policy, correlated outages, the fault trace) live in `tests/pinned_runs.rs`.
 
 use p2pgrid::prelude::*;
 use proptest::prelude::*;
@@ -20,21 +17,6 @@ fn faulty_config(nodes: usize, seed: u64, mtbf_hours: f64, recovery: RecoveryPol
     cfg.workflows_per_node = 2;
     cfg.workload.generator_mut().tasks = 2..=8;
     cfg
-}
-
-fn every_policy() -> [RecoveryPolicy; 5] {
-    [
-        RecoveryPolicy::FailWorkflow,
-        RecoveryPolicy::Retry {
-            budget: 2,
-            backoff: SimDuration::from_secs(120),
-        },
-        RecoveryPolicy::unlimited_retry(),
-        RecoveryPolicy::Checkpoint {
-            interval: SimDuration::from_secs(10 * 60),
-        },
-        RecoveryPolicy::Replicate { copies: 2 },
-    ]
 }
 
 /// Everything a faulty run reports, flattened to exact bits.
@@ -74,91 +56,11 @@ fn fingerprint(r: &SimulationReport) -> FaultFingerprint {
     }
 }
 
-fn run_sharded(cfg: &GridConfig, shards: usize) -> SimulationReport {
-    Scenario::build(cfg.clone().with_shards(shards))
+fn run(cfg: GridConfig) -> SimulationReport {
+    Scenario::build(cfg)
         .unwrap()
         .simulate_algorithm(Algorithm::Dsmf)
         .run()
-}
-
-#[test]
-fn stochastic_runs_are_byte_identical_across_shard_counts_for_every_policy() {
-    for (i, policy) in every_policy().into_iter().enumerate() {
-        let cfg = faulty_config(20, 700 + i as u64, 2.0, policy);
-        let base = run_sharded(&cfg, 1);
-        assert!(
-            base.robustness.node_failures > 0,
-            "{policy:?}: the pin is vacuous unless nodes actually fail"
-        );
-        let base_fp = fingerprint(&base);
-        for shards in [2, 4, 8] {
-            let sharded = run_sharded(&cfg, shards);
-            assert_eq!(
-                fingerprint(&sharded),
-                base_fp,
-                "{policy:?}: {shards} shards diverged from the single-shard run"
-            );
-        }
-    }
-}
-
-#[test]
-fn correlated_outages_are_byte_identical_across_shard_counts() {
-    let outage = CorrelatedOutage {
-        group_size: 4,
-        mtbf: SimDuration::from_hours(3),
-        duration: SimDuration::from_secs(30 * 60),
-    };
-    let faults = StochasticFaults::new(SimDuration::from_hours(6), SimDuration::from_secs(20 * 60))
-        .with_outage(outage);
-    let mut cfg = GridConfig::small(24)
-        .with_seed(808)
-        .with_faults(FaultModel::Stochastic(faults))
-        .with_recovery(RecoveryPolicy::unlimited_retry());
-    cfg.workflows_per_node = 2;
-    cfg.workload.generator_mut().tasks = 2..=8;
-    let base = run_sharded(&cfg, 1);
-    assert!(base.robustness.node_failures > 0);
-    let base_fp = fingerprint(&base);
-    for shards in [2, 4, 8] {
-        assert_eq!(fingerprint(&run_sharded(&cfg, shards)), base_fp);
-    }
-}
-
-#[test]
-fn fault_trace_replays_losses_and_retries_identically_across_shard_counts() {
-    let cfg = faulty_config(20, 811, 2.0, RecoveryPolicy::unlimited_retry());
-    let record = |shards: usize| {
-        let mut trace = TraceRecorder::new();
-        let report = Scenario::build(cfg.clone().with_shards(shards))
-            .unwrap()
-            .simulate_algorithm(Algorithm::Dsmf)
-            .observe(&mut trace)
-            .run();
-        (fingerprint(&report), trace.events().to_vec())
-    };
-    let (base_fp, base_events) = record(1);
-    let lost = base_events
-        .iter()
-        .filter(|e| matches!(e.1, TraceEvent::TaskLost { .. }))
-        .count();
-    let retried = base_events
-        .iter()
-        .filter(|e| matches!(e.1, TraceEvent::TaskRetried { .. }))
-        .count();
-    assert!(lost > 0, "a 2h-MTBF run must lose some task");
-    assert!(
-        retried > 0,
-        "unlimited retry must re-queue some lost running task"
-    );
-    for shards in [2, 4, 8] {
-        let (fp, events) = record(shards);
-        assert_eq!(fp, base_fp, "{shards} shards: report diverged");
-        assert_eq!(
-            events, base_events,
-            "{shards} shards: observer stream diverged"
-        );
-    }
 }
 
 #[test]
@@ -169,8 +71,8 @@ fn fault_model_off_is_byte_identical_to_the_default_config() {
         .clone()
         .with_faults(FaultModel::Off)
         .with_recovery(RecoveryPolicy::FailWorkflow);
-    let a = run_sharded(&plain, 4);
-    let b = run_sharded(&explicit, 4);
+    let a = run(plain);
+    let b = run(explicit);
     assert_eq!(fingerprint(&a), fingerprint(&b));
     assert_eq!(a.robustness.node_failures, 0);
     assert_eq!(a.robustness.tasks_lost, 0);

@@ -1,7 +1,7 @@
 //! The workload subsystem end to end: serialized trace artifacts drive the grid through the
-//! same sharded engine as the synthetic generator, nonzero arrivals enter mid-run, arrival
-//! processes stay byte-identical across shard counts, and the three checked-in artifacts
-//! under `workloads/` load and replay.
+//! same engine as the synthetic generator, nonzero arrivals enter mid-run, and the three
+//! checked-in artifacts under `workloads/` load and replay.  Byte-for-byte pins of a trace
+//! workload and of Poisson arrivals live in `tests/pinned_runs.rs`.
 
 use p2pgrid::prelude::*;
 use std::path::Path;
@@ -123,69 +123,6 @@ fn arrivals_beyond_the_horizon_are_never_submitted() {
         .simulate_algorithm(Algorithm::Dsmf)
         .run();
     assert_eq!(report.submitted, 3, "the past-horizon entry must not count");
-}
-
-#[test]
-fn trace_runs_are_shard_count_independent() {
-    let base = Scenario::build(trace_config(21).with_shards(1))
-        .unwrap()
-        .simulate_algorithm(Algorithm::Dsmf)
-        .run();
-    assert_eq!(base.completed, 3);
-    for shards in [2, 4, 8] {
-        let sharded = Scenario::build(trace_config(21).with_shards(shards))
-            .unwrap()
-            .simulate_algorithm(Algorithm::Dsmf)
-            .run();
-        assert_eq!(
-            fingerprint(&sharded),
-            fingerprint(&base),
-            "{shards} shards diverged on the trace workload"
-        );
-    }
-}
-
-#[test]
-fn poisson_arrival_runs_are_shard_count_independent_including_observers() {
-    // A synthetic workload whose submissions are spread by a Poisson arrival process: the
-    // report AND the full ordered observer stream must be byte-identical for every shard count.
-    let config = |shards: usize| {
-        let mut cfg = GridConfig::small(20)
-            .with_seed(31)
-            .with_arrivals(ArrivalProcess::Poisson { rate_per_hour: 6.0 })
-            .with_shards(shards);
-        cfg.workflows_per_node = 2;
-        cfg
-    };
-    let run = |shards: usize| {
-        let mut trace = TraceRecorder::new();
-        let report = Scenario::build(config(shards))
-            .unwrap()
-            .simulate_algorithm(Algorithm::Dsmf)
-            .observe(&mut trace)
-            .run();
-        (fingerprint(&report), trace.events().to_vec())
-    };
-    let (base_fp, base_events) = run(1);
-    let spread: Vec<u64> = base_events
-        .iter()
-        .filter_map(|&(t, e)| match e {
-            TraceEvent::WorkflowSubmitted { .. } => Some(t.as_millis()),
-            _ => None,
-        })
-        .collect();
-    assert!(
-        spread.iter().any(|&t| t > 0),
-        "Poisson arrivals must actually spread submissions: {spread:?}"
-    );
-    for shards in [2, 4, 8] {
-        let (fp, events) = run(shards);
-        assert_eq!(fp, base_fp, "{shards} shards diverged");
-        assert_eq!(
-            events, base_events,
-            "{shards} shards: observer stream diverged"
-        );
-    }
 }
 
 #[test]
