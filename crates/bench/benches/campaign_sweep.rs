@@ -1,16 +1,17 @@
 //! The pooled campaign path versus sequential execution, plus the pool-balance regression
 //! bench for skewed per-item costs.
 //!
-//! `campaign::run` fans independent simulation sessions out across the persistent
-//! work-stealing pool; `campaign::run_sequential` is the single-threaded reference.  Criterion
+//! `campaign::run` fans independent simulation sessions out over scoped threads spawned per
+//! call; `campaign::run_sequential` is the single-threaded reference.  Criterion
 //! times both on a small sweep; setting `P2PGRID_BENCH_REDUCED=1` additionally runs a
 //! one-shot wall-clock comparison of a Reduced-scale campaign (the EXPERIMENTS.md speedup
 //! number).
 //!
 //! The `pool_balance` group pins the dynamic-chunking fix in the `rayon` shim: one item of
 //! the parallel map costs ~64x the others.  The old static one-chunk-per-core split serialised
-//! behind the heavy chunk (speedup -> 1 as the skew grows); with dynamic chunks and stealing,
-//! the light items spread over the remaining workers while one worker chews the heavy item.
+//! behind the heavy chunk (speedup -> 1 as the skew grows); with dynamic chunks popped off a
+//! shared queue, the light items spread over the remaining threads while one thread chews the
+//! heavy item.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use p2pgrid_bench::{bench_criterion_config, BENCH_SEED};

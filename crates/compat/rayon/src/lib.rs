@@ -2,66 +2,92 @@
 //!
 //! The workspace builds without network access, so this shim implements the slice of the
 //! rayon API the codebase uses — `slice.par_iter().map(f).collect()`,
-//! `range.into_par_iter().map(f).collect()`, [`join`] and scoped [`ThreadPool`]s — on top of
-//! a persistent work-stealing thread pool (see [`mod@self`] internals in `pool.rs`):
+//! `range.into_par_iter().map(f).collect()` and [`ThreadPool`]s that set the width of the
+//! parallel calls inside them — on top of [`std::thread::scope`]:
 //!
-//! * a **global pool** is created lazily on first use and reused by every parallel call for
-//!   the rest of the process (no more spawn-per-call);
-//! * each worker owns a LIFO deque and steals from random victims when idle, so uneven
-//!   per-item costs re-balance instead of serialising behind one static chunk per core;
-//! * `par_iter` splits work into **dynamic chunks** (several per worker) and writes results
-//!   by input index, so output order matches input order exactly as with real rayon;
-//! * the `P2PGRID_POOL_THREADS` environment variable overrides the global pool's worker
-//!   count (`1` forces fully sequential inline execution — results are identical either
-//!   way, which CI pins by running the test suite at `1` and `8`).
+//! * every parallel call spawns its own scoped threads and joins them before it returns, so
+//!   no threads outlive a call and the threads borrow the caller's data directly;
+//! * the calling thread and up to `width − 1` spawned threads drain a shared queue of
+//!   **dynamic chunks** (several per thread), so uneven per-item costs re-balance instead of
+//!   serialising behind one static chunk per thread;
+//! * each chunk's results are tagged with the chunk's index and reassembled in that order,
+//!   so output order matches input order exactly as with real rayon;
+//! * the width is `P2PGRID_POOL_THREADS` if set, otherwise the machine's available
+//!   parallelism (`1` runs every parallel call inline on the calling thread — results are
+//!   identical either way, which CI pins by running the test suite at `1` and `8`).
 //!
-//! Swap the path dependency for the crates.io release to get adaptive splitting and the
-//! full combinator set; call sites need no changes.
+//! Every caller in the workspace is coarse (an all-pairs topology row, a whole simulation
+//! session, a whole world build), so the cost of spawning threads per call is noise.  Swap
+//! the path dependency for the crates.io release to get a persistent pool, adaptive
+//! splitting and the full combinator set; call sites need no changes.
 
-use std::mem::{ManuallyDrop, MaybeUninit};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::{Mutex, OnceLock};
 
-mod pool;
-
-pub use pool::POOL_THREADS_ENV;
-use pool::{erase_job, BatchPanic, Latch, PoolState};
+/// Environment variable overriding the default width of parallel calls (`>= 1`; `1` means
+/// every parallel operation runs inline on the calling thread, which is the fully
+/// deterministic sequential mode the CI matrix pins against `8`).
+pub const POOL_THREADS_ENV: &str = "P2PGRID_POOL_THREADS";
 
 /// The import surface (`use rayon::prelude::*`) mirroring rayon's prelude.
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelIterator};
 }
 
-/// Number of worker threads in the current thread pool (the installed pool if inside a
-/// [`ThreadPool::install`] scope, otherwise the global pool).
+thread_local! {
+    /// The width set by the innermost [`ThreadPool::install`] on this thread, or inherited
+    /// from the parallel call that spawned it; `None` means the process default.
+    static INSTALLED_WIDTH: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// The process default width: `P2PGRID_POOL_THREADS` if set (clamped to at least 1),
+/// otherwise the machine's available parallelism.  Read once, on first use.
+fn default_width() -> usize {
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var(POOL_THREADS_ENV)
+            .ok()
+            .and_then(|value| value.trim().parse::<usize>().ok())
+            .map(|n| n.max(1))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(NonZeroUsize::get)
+                    .unwrap_or(1)
+            })
+    })
+}
+
+/// Number of threads a parallel call on this thread uses (the installed pool's width inside
+/// a [`ThreadPool::install`] scope or a thread it spawned, otherwise the process default).
 pub fn current_num_threads() -> usize {
-    pool::current_pool().worker_count()
+    INSTALLED_WIDTH
+        .with(Cell::get)
+        .unwrap_or_else(default_width)
+}
+
+/// Run `f` with `width` installed on this thread, restoring the previous width afterwards
+/// (also when `f` unwinds).
+fn with_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            INSTALLED_WIDTH.with(|w| w.set(self.0));
+        }
+    }
+    let _restore = Restore(INSTALLED_WIDTH.with(|w| w.replace(Some(width))));
+    f()
 }
 
 // ----- core parallel map -----------------------------------------------------------------
 
-/// A raw output cursor that may cross thread boundaries.  Each task writes a disjoint index
-/// range, so shared mutable access never overlaps.
-struct SendPtr<U>(*mut MaybeUninit<U>);
-
-impl<U> Clone for SendPtr<U> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<U> Copy for SendPtr<U> {}
-// Safety: the pointer is only ever written (never read) before the batch latch opens, and
-// every task writes a disjoint range of indices.
-unsafe impl<U: Send> Send for SendPtr<U> {}
-unsafe impl<U: Send> Sync for SendPtr<U> {}
-
-/// Map `f` over `items` on the current pool, preserving input order in the output.
+/// Map `f` over `items` at the current width, preserving input order in the output.
 ///
-/// Work is split into roughly `4 × workers` chunks so that uneven per-item costs re-balance
-/// via stealing; every chunk writes its results directly into the output vector at the
-/// item's original index.  Panics in `f` are caught, the batch is drained to completion
-/// (the latch must open before the stack frame holding the borrows unwinds), and the first
-/// panic payload is re-thrown on the calling thread.
+/// Work is split into roughly `4 × width` chunks; the calling thread and up to `width − 1`
+/// scoped threads pop chunks off a shared queue until it is empty.  A panic in `f` does not
+/// stop the other threads: every thread is joined first, then the first panic's original
+/// payload is re-thrown on the calling thread.
 fn parallel_map<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,
@@ -69,134 +95,71 @@ where
     F: Fn(T) -> U + Sync,
 {
     let len = items.len();
-    let pool = pool::current_pool();
-    if len <= 1 || pool.worker_count() <= 1 {
+    let width = current_num_threads();
+    if len <= 1 || width <= 1 {
         return items.into_iter().map(f).collect();
     }
 
-    // Several chunks per worker: small enough to re-balance skewed workloads by stealing,
-    // large enough to keep per-chunk overhead negligible.
-    let chunk_size = len.div_ceil(pool.worker_count() * 4).max(1);
+    // Several chunks per thread: small enough to re-balance skewed workloads, large enough
+    // to keep per-chunk overhead negligible.
+    let chunk_size = len.div_ceil(width * 4);
     let mut chunks: Vec<(usize, Vec<T>)> = Vec::with_capacity(len.div_ceil(chunk_size));
-    let mut items = items;
-    let mut consumed = 0usize;
-    while !items.is_empty() {
-        let rest = items.split_off(items.len().min(chunk_size));
-        let chunk = std::mem::replace(&mut items, rest);
-        let start = consumed;
-        consumed += chunk.len();
-        chunks.push((start, chunk));
+    let mut items = items.into_iter();
+    loop {
+        let chunk: Vec<T> = items.by_ref().take(chunk_size).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        chunks.push((chunks.len(), chunk));
     }
+    let threads = width.min(chunks.len());
+    let queue = Mutex::new(chunks.into_iter());
 
-    let mut out: Vec<MaybeUninit<U>> = Vec::with_capacity(len);
-    // Safety: MaybeUninit<U> needs no initialisation, and `out` is only transmuted to
-    // Vec<U> after every index has been written (the latch guarantees it).
-    unsafe { out.set_len(len) };
-    let out_ptr = SendPtr(out.as_mut_ptr());
-
-    let latch = Latch::new(chunks.len());
-    let panics = BatchPanic::new();
-    let f = &f;
-    let latch_ref = &latch;
-    let tasks = chunks
-        .into_iter()
-        .map(|(start, chunk)| {
-            let panics = Arc::clone(&panics);
-            let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                // Rebind the wrapper so the closure captures `SendPtr` itself — 2021
-                // disjoint capture would otherwise grab the raw (non-Send) field.
-                let out_ptr = out_ptr;
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for (offset, item) in chunk.into_iter().enumerate() {
-                        // Safety: indices [start, start + chunk.len()) are owned by this
-                        // task alone and lie inside the `len`-element allocation.
-                        unsafe { (*out_ptr.0.add(start + offset)).write(f(item)) };
-                    }
-                }));
-                if let Err(payload) = result {
-                    panics.record(payload);
-                }
-                latch_ref.count_down();
-            });
-            // Safety: run_batch below blocks this frame until the latch opens, i.e. until
-            // every job has finished running, so the erased borrows outlive the jobs.
-            unsafe { erase_job(job) }
-        })
-        .collect();
-    pool.run_batch(tasks, &latch);
-    // Re-throw a worker panic only after every sibling finished (all borrows are dead, and
-    // `out` drops as MaybeUninit — written elements leak, which is safe).
-    panics.propagate();
-
-    // Safety: the latch opened with no panic recorded, so all `len` elements are written.
-    unsafe {
-        let mut out = ManuallyDrop::new(out);
-        Vec::from_raw_parts(out.as_mut_ptr().cast::<U>(), len, out.capacity())
-    }
-}
-
-// ----- join ------------------------------------------------------------------------------
-
-/// Run `a` and `b` potentially in parallel and return both results.
-///
-/// `b` is offered to the current pool while the calling thread runs `a`; the caller then
-/// helps execute pool tasks until `b` completes (it runs `b` itself if no worker stole it).
-/// On a single-threaded pool this is exactly `(a(), b())`.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let pool = pool::current_pool();
-    if pool.worker_count() <= 1 {
-        let ra = a();
-        let rb = b();
-        return (ra, rb);
-    }
-
-    let latch = Latch::new(1);
-    let panics = BatchPanic::new();
-    let mut slot_b: Option<RB> = None;
-    {
-        let slot_b = &mut slot_b;
-        let panics_b = Arc::clone(&panics);
-        let latch_ref = &latch;
-        let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-            match catch_unwind(AssertUnwindSafe(b)) {
-                Ok(value) => *slot_b = Some(value),
-                Err(payload) => panics_b.record(payload),
-            }
-            latch_ref.count_down();
-        });
-        // Safety: help_until below keeps this frame alive until the latch opens, so the
-        // borrows of `slot_b`, `panics` and `latch` outlive the job.
-        let task = unsafe { erase_job(job) };
-        pool.push_task(task);
-    }
-
-    let ra = catch_unwind(AssertUnwindSafe(a));
-    pool.help_until(&latch);
-    let ra = match ra {
-        Ok(value) => value,
-        Err(payload) => {
-            panics.record(payload);
-            panics.propagate();
-            unreachable!("join: recorded panic must have been propagated")
+    let drain = || {
+        let mut done: Vec<(usize, Vec<U>)> = Vec::new();
+        loop {
+            let next = queue
+                .lock()
+                .expect("`f` never runs under the queue lock, so nothing can poison it")
+                .next();
+            let Some((index, chunk)) = next else {
+                return done;
+            };
+            done.push((index, chunk.into_iter().map(&f).collect()));
         }
     };
-    panics.propagate();
-    (
-        ra,
-        slot_b.expect("join: closure b completed without panicking"),
-    )
+    let mut tagged = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads)
+            .map(|_| scope.spawn(|| with_width(width, drain)))
+            .collect();
+        let mut tagged = drain();
+        let mut panic = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => tagged.extend(done),
+                Err(payload) => {
+                    panic.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panic {
+            resume_unwind(payload);
+        }
+        tagged
+    });
+
+    tagged.sort_unstable_by_key(|&(index, _)| index);
+    let mut out = Vec::with_capacity(len);
+    for (_, done) in tagged {
+        out.extend(done);
+    }
+    out
 }
 
 // ----- thread pools ----------------------------------------------------------------------
 
 /// Error returned by [`ThreadPoolBuilder::build`] (mirrors rayon's opaque error type; this
-/// shim's build can only fail if OS thread spawning fails, which panics instead).
+/// shim's build cannot fail).
 #[derive(Debug)]
 pub struct ThreadPoolBuildError(());
 
@@ -208,7 +171,7 @@ impl std::fmt::Display for ThreadPoolBuildError {
 
 impl std::error::Error for ThreadPoolBuildError {}
 
-/// Builder for an owned [`ThreadPool`], mirroring rayon's `ThreadPoolBuilder`.
+/// Builder for a [`ThreadPool`], mirroring rayon's `ThreadPoolBuilder`.
 #[derive(Debug, Default)]
 pub struct ThreadPoolBuilder {
     num_threads: Option<usize>,
@@ -220,7 +183,7 @@ impl ThreadPoolBuilder {
         Self::default()
     }
 
-    /// Set the worker count.  `0` (rayon convention) means "use the default", i.e. the
+    /// Set the width.  `0` (rayon convention) means "use the default", i.e. the
     /// `P2PGRID_POOL_THREADS` override or the machine's available parallelism; `1` builds an
     /// inline pool whose parallel operations run sequentially on the submitting thread.
     pub fn num_threads(mut self, num_threads: usize) -> Self {
@@ -228,55 +191,37 @@ impl ThreadPoolBuilder {
         self
     }
 
-    /// Build the pool and spawn its workers.
+    /// Build the pool.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let workers = self.num_threads.unwrap_or_else(pool::default_worker_count);
-        let (state, handles) = PoolState::spawn(workers);
-        Ok(ThreadPool { state, handles })
+        let num_threads = self.num_threads.unwrap_or_else(default_width);
+        Ok(ThreadPool { num_threads })
     }
 }
 
-/// An owned work-stealing thread pool, independent of the global one.
+/// A width for parallel calls, independent of the process default.
 ///
-/// Unlike real rayon, [`install`](Self::install) runs the closure on the *calling* thread
-/// with this pool made current — parallel operations inside route to this pool's workers,
-/// which is the observable contract the workspace relies on (e.g. to compare thread counts
-/// within one process).  Workers are shut down and joined when the pool is dropped.
+/// The pool holds no threads: [`install`](Self::install) runs the closure on the *calling*
+/// thread with this width made current, and every parallel call inside spawns (and joins)
+/// its own scoped threads at that width.  The threads it spawns inherit the width, so nested
+/// parallel calls use it too — and, spawning their own threads, can never deadlock.
+#[derive(Debug)]
 pub struct ThreadPool {
-    state: Arc<PoolState>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    num_threads: usize,
 }
 
 impl ThreadPool {
-    /// Run `f` with this pool as the current pool for every parallel operation inside.
+    /// Run `f` with this pool's width as the width of every parallel operation inside.
     pub fn install<R, F>(&self, f: F) -> R
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        pool::with_installed(&self.state, f)
+        with_width(self.num_threads, f)
     }
 
-    /// Number of worker threads in this pool.
+    /// The width of this pool.
     pub fn current_num_threads(&self) -> usize {
-        self.state.worker_count()
-    }
-}
-
-impl std::fmt::Debug for ThreadPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadPool")
-            .field("num_threads", &self.state.worker_count())
-            .finish()
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.state.shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        self.num_threads
     }
 }
 
@@ -394,7 +339,7 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::{current_num_threads, join, ThreadPoolBuilder};
+    use super::{current_num_threads, ThreadPoolBuilder};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -422,13 +367,6 @@ mod tests {
         assert!(empty.is_empty());
         let one: Vec<u8> = vec![7u8].into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    fn join_runs_both_and_orders_results() {
-        let (a, b) = join(|| 2 + 2, || "right".to_string());
-        assert_eq!(a, 4);
-        assert_eq!(b, "right");
     }
 
     #[test]
@@ -484,8 +422,29 @@ mod tests {
     }
 
     #[test]
+    fn installed_width_is_inherited_by_spawned_threads_and_nested_calls() {
+        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+        let seen: Vec<(usize, Vec<usize>)> = pool.install(|| {
+            (0..64usize)
+                .into_par_iter()
+                .map(|_| {
+                    let inner = (0..8usize)
+                        .into_par_iter()
+                        .map(|_| current_num_threads())
+                        .collect();
+                    (current_num_threads(), inner)
+                })
+                .collect()
+        });
+        for (outer, inner) in seen {
+            assert_eq!(outer, 3);
+            assert_eq!(inner, vec![3; 8]);
+        }
+    }
+
+    #[test]
     fn skewed_workloads_use_multiple_workers() {
-        // One item is vastly more expensive than the rest; with dynamic chunks and stealing
+        // One item is vastly more expensive than the rest; with dynamic chunks on a shared queue
         // the cheap items must not all serialise behind it on a single worker.  The
         // expensive item *blocks* (rather than spins) until a cheap item has run on a
         // different thread: blocking yields the CPU, so even on a one-hardware-thread host
@@ -548,7 +507,8 @@ mod tests {
                     .collect();
             });
         }));
-        assert!(outcome.is_err(), "panic in a mapped closure must propagate");
+        let payload = outcome.expect_err("panic in a mapped closure must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
         assert!(COMPLETED.load(Ordering::Relaxed) >= 1);
     }
 }

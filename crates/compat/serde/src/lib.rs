@@ -319,24 +319,48 @@ pub mod json {
         }
     }
 
+    /// The longest line [`read_ndjson_line`] accepts, in bytes, not counting the newline.
+    /// The largest message the workspace sends, the merged `campaigns/smoke.json` artifact,
+    /// is about 10 KB on the wire, so the cap only ever stops a peer that never ends its line
+    /// from growing the reader's memory without bound.
+    pub const MAX_NDJSON_LINE_BYTES: u64 = 64 << 20;
+
     /// Read the next newline-delimited JSON value from a buffered reader.
     ///
     /// Returns `Ok(None)` at end of stream; blank lines are skipped; a line that is not a
     /// complete JSON document becomes an `InvalidData` error carrying the parser's
-    /// line/column position.
+    /// line/column position, and so does a line longer than [`MAX_NDJSON_LINE_BYTES`]
+    /// (after reading at most one byte past the cap).
     pub fn read_ndjson_line<R: std::io::BufRead>(reader: &mut R) -> std::io::Result<Option<Value>> {
-        let mut line = String::new();
+        read_capped_ndjson_line(reader, MAX_NDJSON_LINE_BYTES)
+    }
+
+    fn read_capped_ndjson_line<R: std::io::BufRead>(
+        reader: &mut R,
+        cap: u64,
+    ) -> std::io::Result<Option<Value>> {
+        use std::io::{BufRead, Error, ErrorKind, Read};
+        let mut line = Vec::new();
         loop {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            let read = reader.by_ref().take(cap + 1).read_until(b'\n', &mut line)?;
+            if read == 0 {
                 return Ok(None);
             }
+            if read as u64 > cap && line.last() != Some(&b'\n') {
+                return Err(Error::new(
+                    ErrorKind::InvalidData,
+                    format!("NDJSON line longer than {cap} bytes"),
+                ));
+            }
+            let line =
+                std::str::from_utf8(&line).map_err(|e| Error::new(ErrorKind::InvalidData, e))?;
             if line.trim().is_empty() {
                 continue;
             }
             return parse(line.trim_end_matches(['\r', '\n']))
                 .map(Some)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
+                .map_err(|e| Error::new(ErrorKind::InvalidData, e));
         }
     }
 
@@ -746,6 +770,37 @@ pub mod json {
                 Some(Value::object([("k", Value::from(1u64))]))
             );
             assert!(read_ndjson_line(&mut r).is_err());
+        }
+
+        #[test]
+        fn ndjson_lines_longer_than_the_cap_are_rejected() {
+            let read = |bytes: &[u8]| {
+                let mut r = std::io::BufReader::new(bytes);
+                read_capped_ndjson_line(&mut r, 8)
+            };
+            // A peer that never sends a newline: an error after cap + 1 bytes, not a panic.
+            let endless = vec![b'1'; 1000];
+            let err = read(&endless).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(read(b"[1,2,3,4]\n").is_err());
+            // A line of exactly the cap parses, with or without its newline.
+            assert_eq!(read(b"12345678\n").unwrap(), Some(Value::from(12345678u64)));
+            assert_eq!(read(b"12345678").unwrap(), Some(Value::from(12345678u64)));
+
+            // The cap is per line: lines after a normal one are unaffected.
+            let mut r = std::io::BufReader::new(&b"[1]\n\"abcdef\"\n7\n"[..]);
+            let mut back = Vec::new();
+            while let Some(v) = read_capped_ndjson_line(&mut r, 8).unwrap() {
+                back.push(v);
+            }
+            assert_eq!(
+                back,
+                [
+                    Value::array([1u64]),
+                    Value::from("abcdef"),
+                    Value::from(7u64)
+                ]
+            );
         }
 
         #[test]

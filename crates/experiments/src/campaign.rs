@@ -10,8 +10,9 @@
 //!    `Scenario::with_*` methods, which re-sample only the affected RNG stream and share the
 //!    `Arc`'d topology tables with the base.
 //! 3. [`cross`] the scenarios with the algorithm configurations into a flat job list and
-//!    [`run`] it across the shared work-stealing pool.  Reports come back in job order, so
-//!    no index bookkeeping is needed.
+//!    [`run`] it in parallel: scoped threads pop jobs off a shared queue, as many threads
+//!    as `P2PGRID_POOL_THREADS` (default: the available parallelism).  Reports come back in
+//!    job order, so no index bookkeeping is needed.
 //!
 //! [`run_sequential`] is the single-threaded reference path: it executes the identical job
 //! list on the calling thread and is used by the `campaign_sweep` bench (pooled versus
@@ -76,8 +77,8 @@ impl Campaign {
     ///
     /// `derive` should call one of the `Scenario::with_*` methods on the base; each derived
     /// world then shares the base's `Arc`'d topology tables instead of rebuilding them.
-    /// Derivation runs on the calling thread — it is cheap by construction, and keeping it
-    /// sequential keeps the pool free for the simulation jobs.
+    /// Derivation runs on the calling thread — it is cheap by construction, so it is not
+    /// worth spreading over threads.
     pub fn derive<P, D>(&self, points: &[P], derive: D) -> Result<Vec<Scenario>, ConfigError>
     where
         D: Fn(&Scenario, &P) -> Result<Scenario, ConfigError>,
@@ -122,8 +123,8 @@ pub fn paper_algorithms() -> Vec<AlgorithmConfig> {
         .collect()
 }
 
-/// Run every job across the shared work-stealing pool.  Reports are returned in job order
-/// regardless of which worker finished first.
+/// Run every job in parallel on scoped threads.  Reports are returned in job order
+/// regardless of which thread finished first.
 pub fn run(jobs: &[Job]) -> Vec<SimulationReport> {
     jobs.par_iter().map(Job::run).collect()
 }

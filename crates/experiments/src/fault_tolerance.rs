@@ -66,8 +66,8 @@ pub struct FaultToleranceSweep {
 ///
 /// The base world is built **once**; each cell is derived copy-on-write — the fault
 /// schedule re-drawn per MTBF via [`Scenario::with_faults`], the policy swapped for free
-/// via [`Scenario::with_recovery`] — and the full grid of jobs runs across the shared
-/// work-stealing pool.
+/// via [`Scenario::with_recovery`] — and the full grid of jobs runs in parallel through
+/// [`campaign::run`].
 ///
 /// [`Scenario::with_faults`]: p2pgrid_core::Scenario::with_faults
 /// [`Scenario::with_recovery`]: p2pgrid_core::Scenario::with_recovery

@@ -23,8 +23,8 @@
 //!
 //! All runners execute through the [`campaign`] module: sweep points are derived
 //! copy-on-write from one base world (`Scenario::with_*`), so a whole sweep pays for a
-//! single topology/all-pairs-metrics build, and the resulting jobs run across the shared
-//! work-stealing pool with reports returned in input order.
+//! single topology/all-pairs-metrics build, and the resulting jobs run in parallel (scoped
+//! threads, `P2PGRID_POOL_THREADS` wide) with reports returned in input order.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -10,9 +10,8 @@
 //!    through `shares_topology_with` / `shares_workflows_with`), so a whole sweep pays for
 //!    one topology + all-pairs-metrics + landmark computation.
 //!
-//! A third pin covers the execution layer: running a campaign through the work-stealing pool
-//! must not perturb any report — pool sizes 1 and 8 and the sequential path all agree bit
-//! for bit.
+//! A third pin covers the execution layer: running a campaign on parallel threads must not
+//! perturb any report — pool widths 1 and 8 and the sequential path all agree bit for bit.
 
 use p2pgrid::experiments::campaign;
 use p2pgrid::prelude::*;
@@ -174,7 +173,7 @@ fn pooled_campaign_matches_sequential_and_any_pool_size() {
     // Scheduling across threads must never leak into the simulation: the same job list run
     // sequentially, on a 1-worker pool and on an 8-worker pool produces byte-identical
     // reports in the same order.  (CI additionally runs the whole suite under
-    // P2PGRID_POOL_THREADS=1 and =8 to pin the global pool path.)
+    // P2PGRID_POOL_THREADS=1 and =8 to pin the default-width path.)
     let campaign_base = Campaign::from_config(config(99)).unwrap();
     let points = [1usize, 2, 3];
     let scenarios = campaign_base
