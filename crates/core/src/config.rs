@@ -208,64 +208,36 @@ impl ResourceModel {
     }
 }
 
-/// The churn model of §IV.B: a fixed fraction of the population is *stable* (may serve as home
-/// nodes and never departs); the rest may join/leave every scheduling interval.
+/// Fraction of the population that is *stable* under any fault model: nodes
+/// `0..round(n × STABLE_FRACTION)` never fail and are the only home nodes.  The paper uses
+/// 500 of 1 000 (§IV.B).
+pub const STABLE_FRACTION: f64 = 0.5;
+
+/// The churn model of §IV.B: the [`STABLE_FRACTION`] of the population is *stable* (serves as
+/// home nodes and never departs); the rest may join/leave every scheduling interval.
+///
+/// Home nodes are restricted to the stable population even when `dynamic_factor` is zero: the
+/// churn experiments (Fig. 12–14) compare dynamic factors against a `df = 0` baseline, and for
+/// that comparison to be apples-to-apples every point must submit workflows from the same
+/// (stable) home nodes.  The static experiments (Fig. 4–10) use [`FaultModel::Off`], where
+/// every node is a home node, as in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnConfig {
     /// The dynamic factor `df`: the ratio of churning (joined + the same number departed) nodes
     /// to the total population per scheduling interval.  Zero disables churn.
     pub dynamic_factor: f64,
-    /// Fraction of nodes that are stable (the paper uses 500 of 1 000).
-    pub stable_fraction: f64,
-    /// Restrict home nodes to the stable population even when `dynamic_factor` is zero.
-    ///
-    /// The churn experiments (Fig. 12–14) compare different dynamic factors against a `df = 0`
-    /// baseline; for that comparison to be apples-to-apples every point must submit workflows
-    /// from the same (stable) home nodes.  The static experiments (Fig. 4–10) leave this off so
-    /// every node is a home node, as in the paper.
-    pub homes_on_stable_only: bool,
-}
-
-impl Default for ChurnConfig {
-    fn default() -> Self {
-        ChurnConfig {
-            dynamic_factor: 0.0,
-            stable_fraction: 0.5,
-            homes_on_stable_only: false,
-        }
-    }
 }
 
 impl ChurnConfig {
-    /// A static system (no churn, every node is a home node).
-    pub fn none() -> Self {
-        ChurnConfig::default()
-    }
-
-    /// Churn with the given dynamic factor and the paper's 50% stable population.  Home nodes
-    /// are restricted to the stable population (also for `df = 0`) so that churn sweeps are
-    /// comparable across dynamic factors.
+    /// Churn with the given dynamic factor.
     pub fn with_dynamic_factor(df: f64) -> Self {
-        ChurnConfig {
-            dynamic_factor: df,
-            homes_on_stable_only: true,
-            ..ChurnConfig::default()
-        }
-    }
-
-    /// True when resource nodes outside the stable population may churn or must not host
-    /// workflows — i.e. when the node population has to be split into stable / churnable.
-    pub fn splits_population(&self) -> bool {
-        self.dynamic_factor > 0.0 || self.homes_on_stable_only
+        ChurnConfig { dynamic_factor: df }
     }
 
     /// Validate the churn parameters.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if !(0.0..=1.0).contains(&self.dynamic_factor) {
             return Err(ConfigError::InvalidDynamicFactor(self.dynamic_factor));
-        }
-        if !(0.0..=1.0).contains(&self.stable_fraction) {
-            return Err(ConfigError::InvalidStableFraction(self.stable_fraction));
         }
         Ok(())
     }
@@ -275,6 +247,8 @@ impl ChurnConfig {
 /// distributed uptime (mean [`mtbf`](StochasticFaults::mtbf)) and an exponentially distributed
 /// repair time (mean [`mttr`](StochasticFaults::mttr)).  A failed node loses every queued and
 /// running task it holds; what happens to those tasks is the [`RecoveryPolicy`]'s business.
+/// The [`STABLE_FRACTION`] of nodes never fails, and home nodes are restricted to it, so a
+/// failure never takes a workflow's submission site down.
 ///
 /// The whole failure schedule is pre-drawn from the dedicated [`StreamKind::Faults`] stream
 /// (one sub-stream per node) when the scenario is built, so failures are ordinary node-local
@@ -285,21 +259,16 @@ pub struct StochasticFaults {
     pub mtbf: SimDuration,
     /// Mean time to repair of one node (exponential downtime; must be positive).
     pub mttr: SimDuration,
-    /// Fraction of nodes that never fail (ids `0..stable`).  Home nodes are restricted to
-    /// this stable population so a failure never takes a workflow's submission site down.
-    pub stable_fraction: f64,
     /// Optional correlated outages striking whole groups of nodes at once (rack/AS failures).
     pub correlated_outage: Option<CorrelatedOutage>,
 }
 
 impl StochasticFaults {
-    /// Independent per-node failures with the paper's 50% stable population and no
-    /// correlated outages.
+    /// Independent per-node failures with no correlated outages.
     pub fn new(mtbf: SimDuration, mttr: SimDuration) -> Self {
         StochasticFaults {
             mtbf,
             mttr,
-            stable_fraction: 0.5,
             correlated_outage: None,
         }
     }
@@ -321,9 +290,6 @@ impl StochasticFaults {
         };
         positive("mtbf", self.mtbf)?;
         positive("mttr", self.mttr)?;
-        if !(0.0..=1.0).contains(&self.stable_fraction) {
-            return Err(ConfigError::InvalidStableFraction(self.stable_fraction));
-        }
         if let Some(outage) = &self.correlated_outage {
             if outage.group_size < 2 {
                 return Err(ConfigError::InvalidFault {
@@ -384,23 +350,10 @@ impl FaultModel {
         }
     }
 
-    /// True when the node population has to be split into stable / churnable (fallible)
-    /// halves — i.e. when some nodes may fail or must not host workflows.
+    /// True when the node population is split into the stable [`STABLE_FRACTION`] and the
+    /// churnable (fallible) rest — i.e. under every model but [`FaultModel::Off`].
     pub fn splits_population(&self) -> bool {
-        match self {
-            FaultModel::Off => false,
-            FaultModel::Churn(c) => c.splits_population(),
-            FaultModel::Stochastic(_) => true,
-        }
-    }
-
-    /// Fraction of nodes that never fail.  `1.0` when the model is off.
-    pub fn stable_fraction(&self) -> f64 {
-        match self {
-            FaultModel::Off => 1.0,
-            FaultModel::Churn(c) => c.stable_fraction,
-            FaultModel::Stochastic(s) => s.stable_fraction,
-        }
+        !matches!(self, FaultModel::Off)
     }
 
     /// Validate the fault-model parameters.
@@ -1134,25 +1087,17 @@ mod tests {
     #[test]
     fn churn_population_split_rules() {
         // The static experiments use every node as a home node...
-        assert!(!ChurnConfig::none().splits_population());
+        assert!(!FaultModel::Off.splits_population());
         // ...while the churn sweep keeps the home set fixed to the stable half, even for the
         // df = 0 baseline, so its points are comparable.
-        assert!(ChurnConfig::with_dynamic_factor(0.0).splits_population());
-        assert!(ChurnConfig::with_dynamic_factor(0.2).splits_population());
-        assert!(ChurnConfig::with_dynamic_factor(0.2).homes_on_stable_only);
-        assert_eq!(ChurnConfig::with_dynamic_factor(0.2).stable_fraction, 0.5);
-        // The FaultModel wrapper delegates to the active model.
-        assert!(!FaultModel::Off.splits_population());
-        assert_eq!(FaultModel::Off.stable_fraction(), 1.0);
-        let churned = FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.2));
-        assert!(churned.splits_population());
-        assert_eq!(churned.stable_fraction(), 0.5);
+        assert!(FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.0)).splits_population());
+        assert!(FaultModel::Churn(ChurnConfig::with_dynamic_factor(0.2)).splits_population());
         let stochastic = FaultModel::Stochastic(StochasticFaults::new(
             SimDuration::from_hours(4),
             SimDuration::from_mins(30),
         ));
         assert!(stochastic.splits_population());
-        assert_eq!(stochastic.stable_fraction(), 0.5);
+        assert_eq!(STABLE_FRACTION, 0.5);
     }
 
     #[test]
@@ -1172,13 +1117,6 @@ mod tests {
             zero_mttr,
             Err(ConfigError::InvalidFault { what: "mttr", .. })
         ));
-        let mut bad_fraction =
-            StochasticFaults::new(SimDuration::from_hours(4), SimDuration::from_mins(30));
-        bad_fraction.stable_fraction = 1.5;
-        assert_eq!(
-            bad_fraction.validate(),
-            Err(ConfigError::InvalidStableFraction(1.5))
-        );
         let tiny_group =
             StochasticFaults::new(SimDuration::from_hours(4), SimDuration::from_mins(30))
                 .with_outage(CorrelatedOutage {

@@ -11,8 +11,9 @@
 //! 3. The **mixed gossip protocol** runs every five minutes, giving every node a bounded `RSS`
 //!    of peer states and estimates of the average capacity / bandwidth.
 //! 4. The **first scheduling phase** runs every fifteen minutes on every home node: schedule
-//!    points are prioritised and dispatched per the configured [`Scheduler`] (Algorithm 1 for
-//!    DSMF), program images and dependent data start flowing to the chosen resource nodes.
+//!    points are prioritised and dispatched per the configured [`AlgorithmConfig`]
+//!    (Algorithm 1 for DSMF), program images and dependent data start flowing to the chosen
+//!    resource nodes.
 //! 5. The **second scheduling phase** runs on every resource node whenever an execution slot
 //!    frees up: the data-complete ready task with the smallest scheduler
 //!    [`ReadyKey`](crate::policy::second_phase::ReadyKey) is popped from the node's indexed
@@ -54,10 +55,9 @@
 //!
 //! Steps 1–2 (and every other seed-derived sample) live in
 //! [`Scenario::build`](crate::scenario::Scenario::build) so a sweep pays for them once; the
-//! window loop itself runs inside a crate-private session type, which the public
-//! [`Simulation`](crate::simulation::Simulation) handle drives one window at a time.  Every
-//! externally meaningful transition is mirrored to the session's registered
-//! [`Observer`](crate::observer)s — [`node`] (the indexed ready set and slot
+//! public [`Simulation`](crate::simulation::Simulation) handle owns the [`Engine`] and drives it
+//! one window at a time.  Every externally meaningful transition is mirrored to the session's
+//! registered [`Observer`](crate::observer)s — [`node`] (the indexed ready set and slot
 //! runtime) and [`transfer`] are exported for benches and tooling; everything else stays
 //! crate-private.
 
@@ -68,15 +68,15 @@ pub(crate) mod workflow;
 mod barrier;
 mod window;
 
+use crate::algorithm::AlgorithmConfig;
 use crate::config::{GridConfig, RecoveryPolicy};
 use crate::estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
-use crate::fullahead::PlanInput;
+use crate::fullahead::{plan_full_ahead, PlanInput};
 use crate::observer::{GridSample, Observer};
-use crate::policy::first_phase::DispatchCandidateTask;
-use crate::policy::second_phase::ReadyTaskView;
+use crate::policy::first_phase::{plan_dispatch, DispatchCandidateTask};
+use crate::policy::second_phase::{ready_key, ReadyTaskView};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Scheduler;
 use crate::NodeId;
 use barrier::{
     sort_arrivals, sort_faults, sort_notices, sort_observations, ArrivalNotice, BufferedEvent,
@@ -132,14 +132,14 @@ impl Observers<'_, '_> {
 /// The event loop of one simulation run.
 ///
 /// Owns the node runtimes and their event queue, the grid-wide cadence queue, and all
-/// grid-wide state (workflows, metrics, gossip).  Advanced one conservative time window at a
-/// time by the crate-private session / [`Simulation`](crate::simulation::Simulation)
-/// machinery; the public surface of this type is read-only statistics.
+/// grid-wide state (workflows, metrics, gossip).  Owned by a
+/// [`Simulation`](crate::simulation::Simulation), which advances it one conservative time
+/// window at a time; the public surface of this type is read-only statistics.
 ///
 /// See the [module docs](self) for the window/barrier protocol.
 pub struct Engine {
     config: GridConfig,
-    scheduler: Box<dyn Scheduler>,
+    algorithm: AlgorithmConfig,
     transfer: Arc<TransferModel>,
     landmarks: Arc<LandmarkEstimator>,
     gossip: MixedGossip,
@@ -207,9 +207,10 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Clone the scenario's mutable runtime state into a fresh engine and run the scheduler's
-    /// full-ahead planning pass (HEFT / SMF plan centrally before execution).
-    pub(crate) fn from_scenario(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
+    /// Clone the scenario's mutable runtime state into a fresh engine, run the full-ahead
+    /// planning pass (HEFT / SMF plan centrally before execution) and schedule the three
+    /// grid-wide cadences at time zero.
+    pub(crate) fn from_scenario(scenario: &Scenario, algorithm: AlgorithmConfig) -> Self {
         let world = scenario.world();
         let mut workflows = (*world.workflows).clone();
         let horizon = SimTime::ZERO + world.config.horizon;
@@ -217,14 +218,14 @@ impl Engine {
         // counted as submitted right away, exactly as the pre-arrival engine did.  Later
         // arrivals are counted when their `WorkflowArrival` event applies at a window
         // barrier; arrivals beyond the horizon never enter the system at all.
-        let mut metrics = WorkflowMetrics::new(scheduler.label());
+        let mut metrics = WorkflowMetrics::new(algorithm.label());
         for w in &workflows {
             if w.arrived {
                 metrics.record_submission();
             }
         }
 
-        {
+        if algorithm.algorithm.is_full_ahead() {
             let inputs: Vec<PlanInput<'_>> = workflows
                 .iter()
                 .map(|w| PlanInput {
@@ -245,22 +246,25 @@ impl Engine {
                 .collect();
             let transfer = &world.transfer;
             let bw = |a: NodeId, b: NodeId| transfer.bandwidth_mbps(a, b);
-            if let Some(plans) =
-                scheduler.plan_full_ahead(&inputs, &candidates, world.true_costs, &bw)
-            {
+            let plans = plan_full_ahead(
+                algorithm.algorithm,
+                &inputs,
+                &candidates,
+                world.true_costs,
+                &bw,
+            );
+            assert_eq!(
+                plans.len(),
+                workflows.len(),
+                "full-ahead planner must plan every workflow"
+            );
+            for (w, plan) in workflows.iter_mut().zip(plans) {
                 assert_eq!(
-                    plans.len(),
-                    workflows.len(),
-                    "full-ahead scheduler must plan every workflow"
+                    plan.len(),
+                    w.workflow.task_count(),
+                    "full-ahead plan must place every task"
                 );
-                for (w, plan) in workflows.iter_mut().zip(plans) {
-                    assert_eq!(
-                        plan.len(),
-                        w.workflow.task_count(),
-                        "full-ahead plan must place every task"
-                    );
-                    w.plan = Some(plan);
-                }
+                w.plan = Some(plan);
             }
         }
 
@@ -289,9 +293,16 @@ impl Engine {
             queue.schedule(time, event);
         }
 
+        // The three grid-wide cadences start at time zero, in this order (equal-time events
+        // pop in scheduling order).
+        let mut globals = EventQueue::new();
+        globals.schedule(SimTime::ZERO, GridEvent::GossipCycle);
+        globals.schedule(SimTime::ZERO, GridEvent::MetricsSample);
+        globals.schedule(SimTime::ZERO, GridEvent::SchedulingCycle);
+
         Engine {
             config: world.config.clone(),
-            scheduler,
+            algorithm,
             transfer: Arc::clone(&world.transfer),
             landmarks: Arc::clone(&world.landmarks),
             gossip: world.gossip.clone(),
@@ -304,7 +315,7 @@ impl Engine {
             workflows,
             home_of: Arc::clone(&world.home_of),
             metrics,
-            globals: EventQueue::new(),
+            globals,
             lookahead: world.lookahead,
             now: SimTime::ZERO,
             horizon,
@@ -360,7 +371,7 @@ impl Engine {
 
     /// One aggregate snapshot over the alive population, built from the per-node `O(1)`
     /// accessors in node order — `O(nodes)` total, no heap walks.
-    fn grid_sample(&self) -> GridSample {
+    pub(crate) fn grid_sample(&self) -> GridSample {
         let mut sample = GridSample {
             alive_nodes: 0,
             ready_tasks: 0,
@@ -763,9 +774,12 @@ impl Engine {
         let bw_estimate =
             move |a: NodeId, b: NodeId| -> f64 { landmarks.estimate_bandwidth_mbps(a, b) };
         let estimator = FinishTimeEstimator::new(home, &bw_estimate);
-        let decisions = self
-            .scheduler
-            .plan_dispatch(&candidate_tasks, &mut candidates, &estimator);
+        let decisions = plan_dispatch(
+            self.algorithm.algorithm,
+            &candidate_tasks,
+            &mut candidates,
+            &estimator,
+        );
         let lookup: std::collections::HashMap<(usize, TaskId), (f64, f64)> = candidate_tasks
             .iter()
             .map(|t| ((t.workflow, t.task), (t.rpm_secs, t.workflow_ms_secs)))
@@ -899,7 +913,7 @@ impl Engine {
             enqueued_seq: self.next_seq,
         };
         self.next_seq += 1;
-        let key = self.scheduler.ready_key(&view);
+        let key = ready_key(self.algorithm.second_phase, &view);
         self.nodes[target].ready.insert(ReadyEntry {
             wf,
             task,
@@ -930,6 +944,42 @@ impl Engine {
 
     // ----- the window loop -------------------------------------------------------------------
 
+    /// Announce the time-zero workflow submissions (fires once, before the first window).
+    /// Workflows with later arrival times are announced when their `WorkflowArrival` event
+    /// replays at a window barrier instead.
+    pub(crate) fn announce_submissions(&self, observers: &mut [&mut dyn Observer]) {
+        let mut obs = Observers(observers);
+        if obs.is_empty() {
+            return;
+        }
+        for (wf, w) in self.workflows.iter().enumerate() {
+            if w.arrived {
+                let home = w.home;
+                obs.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
+            }
+        }
+    }
+
+    /// The algorithm driving this run.
+    pub(crate) fn algorithm(&self) -> AlgorithmConfig {
+        self.algorithm
+    }
+
+    /// Current virtual time (the end of the last executed window).
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// The run's horizon (virtual end time).
+    pub(crate) fn horizon(&self) -> SimTime {
+        self.horizon
+    }
+
+    /// Start instant of the window [`Engine::advance_window`] would execute next.
+    pub(crate) fn peek_time(&self) -> Option<SimTime> {
+        self.next_window().map(|(start, _)| start)
+    }
+
     /// Bounds of the next conservative window: `start` is the earliest pending event,
     /// `end` caps it at one lookahead, clipped to the next grid-wide cadence instant and the
     /// horizon.  `None` when the run is over (no pending event at or before the horizon).
@@ -957,7 +1007,10 @@ impl Engine {
     /// the barrier — apply arrivals and completion notices, replay observations, apply faults,
     /// handle the grid-wide cadences due at the window's end.  Returns the window's end, or
     /// `None` when the run is over.
-    fn advance_window(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
+    pub(crate) fn advance_window(
+        &mut self,
+        observers: &mut [&mut dyn Observer],
+    ) -> Option<SimTime> {
         let (start, end) = self.next_window()?;
         debug_assert!(
             end.saturating_duration_since(start) <= self.lookahead,
@@ -1184,12 +1237,22 @@ impl Engine {
         }
     }
 
-    fn finish(mut self, end_time: SimTime) -> SimulationReport {
+    /// Close the run: take the final metrics sample (at the horizon if the run completed, at
+    /// the current time if it was cut short), mirror it to the observers, and build the
+    /// report.  A fully-stepped run produces a report byte-identical to the one-shot run.
+    pub(crate) fn finish(mut self, observers: &mut [&mut dyn Observer]) -> SimulationReport {
+        let end_time = if self.peek_time().is_none() {
+            self.horizon
+        } else {
+            self.now
+        };
+        let sample = self.grid_sample();
+        Observers(observers).emit(|o| o.on_sample(end_time, &sample));
         self.metrics.sample(end_time);
         self.fill_gossip_scratch(end_time);
         let avg_rss_size = self.gossip.average_rss_size(&self.gossip_scratch);
         SimulationReport {
-            algorithm: self.scheduler.label(),
+            algorithm: self.algorithm.label(),
             gossip_stats: self.gossip.stats(),
             avg_rss_size,
             end_time,
@@ -1200,89 +1263,6 @@ impl Engine {
             robustness: self.robustness,
             metrics: self.metrics,
         }
-    }
-}
-
-/// One in-flight run: the engine stepped one conservative window at a time.
-/// The public face of this type is [`Simulation`](crate::simulation::Simulation), which owns
-/// the observer list; the session only borrows observers per step so the engine stays free of
-/// observer lifetimes.
-pub(crate) struct EngineSession {
-    state: Engine,
-}
-
-impl EngineSession {
-    pub(crate) fn new(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
-        let mut state = Engine::from_scenario(scenario, scheduler);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::GossipCycle);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::MetricsSample);
-        state
-            .globals
-            .schedule(SimTime::ZERO, GridEvent::SchedulingCycle);
-        EngineSession { state }
-    }
-
-    /// Announce the time-zero workflow submissions (fires once, before the first window).
-    /// Workflows with later arrival times are announced when their `WorkflowArrival` event
-    /// replays at a window barrier instead.
-    pub(crate) fn announce_submissions(&self, observers: &mut [&mut dyn Observer]) {
-        let mut obs = Observers(observers);
-        if obs.is_empty() {
-            return;
-        }
-        for (wf, w) in self.state.workflows.iter().enumerate() {
-            if !w.arrived {
-                continue;
-            }
-            let home = w.home;
-            obs.emit(|o| o.on_workflow_submitted(SimTime::ZERO, wf, home));
-        }
-    }
-
-    /// Execute exactly one conservative time window and return its end instant, or `None` when
-    /// the run is over (queues drained or every remaining event lies beyond the horizon).
-    pub(crate) fn step(&mut self, observers: &mut [&mut dyn Observer]) -> Option<SimTime> {
-        self.state.advance_window(observers)
-    }
-
-    /// Start instant of the window [`EngineSession::step`] would execute next.
-    pub(crate) fn peek_time(&self) -> Option<SimTime> {
-        self.state.next_window().map(|(start, _)| start)
-    }
-
-    /// Current virtual time (the end of the last executed window).
-    pub(crate) fn now(&self) -> SimTime {
-        self.state.now
-    }
-
-    pub(crate) fn horizon(&self) -> SimTime {
-        self.state.horizon
-    }
-
-    pub(crate) fn grid_sample(&self) -> GridSample {
-        self.state.grid_sample()
-    }
-
-    pub(crate) fn label(&self) -> String {
-        self.state.scheduler.label()
-    }
-
-    /// Close the session: take the final metrics sample (at the horizon if the run completed,
-    /// at the current time if it was cut short), mirror it to the observers, and build the
-    /// report.  A fully-stepped session produces a report byte-identical to the one-shot run.
-    pub(crate) fn finish(self, observers: &mut [&mut dyn Observer]) -> SimulationReport {
-        let end_time = if self.peek_time().is_none() {
-            self.state.horizon
-        } else {
-            self.state.now
-        };
-        let sample = self.state.grid_sample();
-        Observers(observers).emit(|o| o.on_sample(end_time, &sample));
-        self.state.finish(end_time)
     }
 }
 
@@ -1309,13 +1289,13 @@ mod tests {
             .simulate_algorithm(algorithm)
     }
 
-    /// Run a session to the horizon and hand back the internal engine, for white-box tests
-    /// asserting on dispatch/execution counters.
+    /// Run an engine to the horizon and hand it back, for white-box tests asserting on
+    /// dispatch/execution counters.
     fn run_session(cfg: GridConfig, algo: AlgorithmConfig) -> Engine {
         let scenario = Scenario::build(cfg).expect("test config is valid");
-        let mut session = EngineSession::new(&scenario, Box::new(algo));
-        while session.step(&mut []).is_some() {}
-        session.state
+        let mut engine = Engine::from_scenario(&scenario, algo);
+        while engine.advance_window(&mut []).is_some() {}
+        engine
     }
 
     #[test]
@@ -1622,6 +1602,25 @@ mod tests {
     }
 
     #[test]
+    fn only_full_ahead_algorithms_get_plans() {
+        // Just-in-time algorithms plan every cycle, so the engine starts them without plans;
+        // HEFT and SMF plan every task of every workflow before the first window.
+        let scenario = Scenario::build(tiny_config(19)).unwrap();
+        for alg in Algorithm::ALL {
+            let engine = Engine::from_scenario(&scenario, AlgorithmConfig::paper_default(alg));
+            for w in &engine.workflows {
+                match &w.plan {
+                    Some(plan) => {
+                        assert!(alg.is_full_ahead(), "{alg} must not get a plan");
+                        assert_eq!(plan.len(), w.workflow.task_count());
+                    }
+                    None => assert!(!alg.is_full_ahead(), "{alg} must get a plan"),
+                }
+            }
+        }
+    }
+
+    #[test]
     fn preemptive_runs_are_deterministic_and_account_consistently() {
         let run = || {
             let cfg = tiny_config(17)
@@ -1634,52 +1633,5 @@ mod tests {
         assert!(a.completed + a.failed <= a.submitted);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.act_secs().to_bits(), b.act_secs().to_bits());
-    }
-
-    #[test]
-    fn custom_scheduler_plugs_into_the_engine() {
-        // The Scheduler seam: a greedy "random-ish but deterministic" policy that was never one
-        // of the paper's eight — round-robin dispatch over candidates, FCFS ready sets.
-        struct RoundRobin;
-        impl crate::scheduler::Scheduler for RoundRobin {
-            fn label(&self) -> String {
-                "round-robin".to_string()
-            }
-            fn plan_dispatch(
-                &self,
-                tasks: &[DispatchCandidateTask],
-                candidates: &mut [CandidateNode],
-                _estimator: &FinishTimeEstimator<'_>,
-            ) -> Vec<crate::policy::first_phase::DispatchDecision> {
-                tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| {
-                        let c = &mut candidates[i % candidates.len()];
-                        c.add_load(t.load_mi);
-                        crate::policy::first_phase::DispatchDecision {
-                            workflow: t.workflow,
-                            task: t.task,
-                            target: c.node,
-                            estimated_finish_secs: 0.0,
-                            sufferage_secs: 0.0,
-                        }
-                    })
-                    .collect()
-            }
-            fn ready_key(&self, task: &ReadyTaskView) -> crate::policy::second_phase::ReadyKey {
-                crate::policy::second_phase::ready_key(SecondPhase::Fcfs, task)
-            }
-        }
-        let report = Scenario::build(tiny_config(13))
-            .unwrap()
-            .simulate(Box::new(RoundRobin))
-            .run();
-        assert_eq!(report.algorithm, "round-robin");
-        assert_eq!(report.submitted, 12);
-        assert!(
-            report.completed > 0,
-            "a custom scheduler must still make progress"
-        );
     }
 }

@@ -12,6 +12,7 @@ use super::barrier::{
 };
 use super::node::ReadyEntry;
 use super::Engine;
+use crate::policy::second_phase::ready_key;
 use crate::NodeId;
 use p2pgrid_sim::SimTime;
 use p2pgrid_workflow::TaskId;
@@ -305,7 +306,7 @@ impl Engine {
             // Re-key the displaced task against its updated view: rules keyed on exec time
             // now see the *remaining* time (shortest-remaining-time semantics), while
             // ms/rpm-based rules and FCFS recompute the same key as before.
-            displaced.key = self.scheduler.ready_key(&displaced.view);
+            displaced.key = ready_key(self.algorithm.second_phase, &displaced.view);
             self.nodes[node].ready.insert(displaced);
             self.start_task(node, &chosen, now);
         }

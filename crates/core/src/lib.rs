@@ -17,10 +17,10 @@
 //!    (which returns a typed [`ConfigError`] for malformed configurations instead of
 //!    panicking).  `Scenario` is an `Arc` handle: `Clone` is pointer-sized and the type is
 //!    `Send + Sync`, so one world fans out across a whole algorithm sweep.
-//! 2. **[`Simulation`]** — one session over that world, created by [`Scenario::simulate`]
-//!    (or [`Scenario::simulate_algorithm`]): step it event by event ([`Simulation::step`]),
-//!    advance it to an instant ([`Simulation::run_until`]), or drive it to the horizon
-//!    ([`Simulation::run`]).
+//! 2. **[`Simulation`]** — one session over that world, created by
+//!    [`Scenario::simulate_algorithm`] (or [`Scenario::simulate_config`]): step it event by
+//!    event ([`Simulation::step`]), advance it to an instant ([`Simulation::run_until`]), or
+//!    drive it to the horizon ([`Simulation::run`]).
 //! 3. **[`Observer`]** — the seam for tapping the run: task dispatch / start / finish /
 //!    displacement, workflow submit / complete / fail, node join / leave, gossip cycles and
 //!    the periodic [`GridSample`].  [`TimeSeriesProbe`] and [`TraceRecorder`] are built in.
@@ -65,7 +65,6 @@
 //! | [`estimate`]  | the finish-time model of Eq. 4–7 evaluated against (possibly stale) gossip state |
 //! | [`policy`]    | first-phase dispatch planning and second-phase ready-set selection |
 //! | [`fullahead`] | the centralized full-ahead planner used by the HEFT and SMF baselines |
-//! | [`scheduler`] | the pluggable [`Scheduler`] seam unifying both phases (implemented by [`AlgorithmConfig`]) |
 //! | [`config`]    | experiment configuration (Table I defaults, [`config::ResourceModel`] slots, [`config::FaultModel`] faults, [`config::RecoveryPolicy`] recovery, load factor, CCR) |
 //! | [`error`]     | the typed [`ConfigError`] returned by validation and [`Scenario::build`] |
 //! | [`scenario`]  | the reusable pre-sampled world ([`Scenario`]) |
@@ -87,7 +86,6 @@ pub mod observer;
 pub mod policy;
 pub mod report;
 pub mod scenario;
-pub mod scheduler;
 pub mod simulation;
 pub mod worked_example;
 
@@ -102,7 +100,6 @@ pub use estimate::{CandidateNode, FinishTimeEstimator, PredecessorData};
 pub use observer::{GridSample, Observer, TimeSeriesProbe, TraceEvent, TraceRecorder};
 pub use report::SimulationReport;
 pub use scenario::Scenario;
-pub use scheduler::Scheduler;
 pub use simulation::Simulation;
 
 /// Identifier of a peer node (shared dense index with `p2pgrid-topology` and `p2pgrid-gossip`).

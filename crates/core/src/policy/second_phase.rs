@@ -229,8 +229,8 @@ mod tests {
 
     #[test]
     fn ready_key_ordering_agrees_with_the_linear_scan_for_every_rule() {
-        // The engine's heap executes tasks in ascending (ReadyKey, seq) order; that must pick
-        // exactly what the reference linear scan picks, for every rule and any ready set.
+        // The engine's heap executes tasks in ascending (ReadyKey, seq) order; for every rule
+        // that whole drain order must equal repeated picks of the reference linear scan.
         let mut tasks = Vec::new();
         for i in 0u64..24 {
             let f = i as f64;
@@ -242,6 +242,9 @@ mod tests {
                 (i * 31) % 24, // distinct seqs in scrambled order
             ));
         }
+        // Two workflows far apart in makespan, the DSMF case of Formula 10.
+        tasks.push(task(300.0, 120.0, 10.0, 0.0, 24));
+        tasks.push(task(100.0, 50.0, 10.0, 0.0, 25));
         for rule in [
             SecondPhase::ShortestWorkflowMakespan,
             SecondPhase::LongestRpmFirst,
@@ -251,18 +254,20 @@ mod tests {
             SecondPhase::LargestSufferageFirst,
             SecondPhase::Fcfs,
         ] {
-            let scan = select_next(rule, &tasks).unwrap();
-            let heap_order = tasks
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    ready_key(rule, a)
-                        .cmp(&ready_key(rule, b))
-                        .then(a.enqueued_seq.cmp(&b.enqueued_seq))
-                })
-                .map(|(i, _)| i)
-                .unwrap();
-            assert_eq!(scan, heap_order, "rule {rule}");
+            let mut heap_order: Vec<usize> = (0..tasks.len()).collect();
+            heap_order.sort_by(|&a, &b| {
+                ready_key(rule, &tasks[a])
+                    .cmp(&ready_key(rule, &tasks[b]))
+                    .then(tasks[a].enqueued_seq.cmp(&tasks[b].enqueued_seq))
+            });
+            let mut left: Vec<usize> = (0..tasks.len()).collect();
+            let mut scan_order = Vec::new();
+            while let Some(pick) =
+                select_next(rule, &left.iter().map(|&i| tasks[i]).collect::<Vec<_>>())
+            {
+                scan_order.push(left.remove(pick));
+            }
+            assert_eq!(heap_order, scan_order, "rule {rule}");
         }
     }
 

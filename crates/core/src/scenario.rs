@@ -10,9 +10,9 @@
 //!
 //! The value of the split is reuse: the expensive setup (the all-pairs bandwidth computation
 //! is `O(n²·log n)`, workflow analysis walks every DAG) happens **once**, and every
-//! [`Scenario::simulate`] session clones only the cheap mutable runtime state.  `Scenario`
-//! itself is an [`Arc`] handle — `Clone` is pointer-sized and the type is `Send + Sync`, so an
-//! eight-algorithm sweep can fan out across threads over one shared world:
+//! [`Scenario::simulate_config`] session clones only the cheap mutable runtime state.
+//! `Scenario` itself is an [`Arc`] handle — `Clone` is pointer-sized and the type is
+//! `Send + Sync`, so an eight-algorithm sweep can fan out across threads over one shared world:
 //!
 //! ```
 //! use p2pgrid_core::scenario::Scenario;
@@ -30,13 +30,12 @@
 use crate::algorithm::{Algorithm, AlgorithmConfig};
 use crate::config::{
     exponential, ArrivalProcess, ChurnConfig, FaultModel, GridConfig, RecoveryPolicy,
-    ResourceModel, StreamKind, WorkloadSource,
+    ResourceModel, StreamKind, WorkloadSource, STABLE_FRACTION,
 };
 use crate::engine::node::{NodeRuntime, ReadySet};
 use crate::engine::transfer::TransferModel;
 use crate::engine::workflow::WorkflowRuntime;
 use crate::error::ConfigError;
-use crate::scheduler::Scheduler;
 use crate::simulation::Simulation;
 use crate::NodeId;
 use p2pgrid_gossip::MixedGossip;
@@ -112,9 +111,7 @@ fn compute_lookahead(config: &GridConfig, min_latency_ms: f64) -> SimDuration {
 fn stable_count(config: &GridConfig) -> usize {
     let n = config.nodes;
     if config.faults.splits_population() {
-        ((n as f64) * config.faults.stable_fraction())
-            .round()
-            .max(1.0) as usize
+        ((n as f64) * STABLE_FRACTION).round().max(1.0) as usize
     } else {
         n
     }
@@ -267,9 +264,9 @@ fn compute_local_bw(transfer: &TransferModel, landmarks: &LandmarkEstimator, n: 
 
 /// A reusable, immutable, cheaply-cloneable world: build it once, run many schedulers on it.
 ///
-/// See the [module docs](self) for the full story; [`Scenario::simulate`] (or the
-/// [`Scenario::simulate_algorithm`] / [`Scenario::simulate_config`] conveniences) starts an
-/// independent [`Simulation`] session on the shared world.
+/// See the [module docs](self) for the full story; [`Scenario::simulate_algorithm`] (or
+/// [`Scenario::simulate_config`]) starts an independent [`Simulation`] session on the shared
+/// world.
 #[derive(Clone)]
 pub struct Scenario {
     world: Arc<ScenarioWorld>,
@@ -662,21 +659,16 @@ impl Scenario {
         self.world.lookahead
     }
 
-    /// Start an independent [`Simulation`] session driven by any [`Scheduler`] — the seam for
-    /// policies beyond the paper's built-in eight.  The session clones the mutable runtime
-    /// state; the scenario itself is never perturbed, so sessions can run concurrently.
-    pub fn simulate<'obs>(&self, scheduler: Box<dyn Scheduler>) -> Simulation<'obs> {
-        Simulation::start(self, scheduler)
-    }
-
-    /// [`Scenario::simulate`] with an algorithm's paper-default phase pairing.
+    /// [`Scenario::simulate_config`] with an algorithm's paper-default phase pairing.
     pub fn simulate_algorithm<'obs>(&self, algorithm: Algorithm) -> Simulation<'obs> {
         self.simulate_config(AlgorithmConfig::paper_default(algorithm))
     }
 
-    /// [`Scenario::simulate`] with an explicit algorithm × second-phase pairing.
+    /// Start an independent [`Simulation`] session with an explicit algorithm × second-phase
+    /// pairing.  The session clones the mutable runtime state; the scenario itself is never
+    /// perturbed, so sessions can run concurrently.
     pub fn simulate_config<'obs>(&self, algo: AlgorithmConfig) -> Simulation<'obs> {
-        self.simulate(Box::new(algo))
+        Simulation::start(self, algo)
     }
 }
 

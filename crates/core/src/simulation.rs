@@ -1,6 +1,6 @@
 //! Simulation sessions: stepable runs over a shared [`Scenario`].
 //!
-//! A [`Simulation`] is one in-flight run of a scheduler on a pre-built world.  It can be
+//! A [`Simulation`] is one in-flight run of an algorithm on a pre-built world.  It can be
 //! driven incrementally — [`Simulation::step`] executes one conservative time window of the
 //! engine,
 //! [`Simulation::run_until`] advances to a virtual instant, [`Simulation::run`] drives to the
@@ -23,28 +23,28 @@
 //! Observers never perturb the engine: a fully-stepped session — with or without observers —
 //! produces a report byte-identical to the one-shot [`Simulation::run`] at the same seed.
 
-use crate::engine::EngineSession;
+use crate::algorithm::AlgorithmConfig;
+use crate::engine::Engine;
 use crate::observer::{GridSample, Observer};
 use crate::report::SimulationReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Scheduler;
 use p2pgrid_sim::SimTime;
 
 /// One in-flight simulation run: step it, observe it, or drive it to the horizon.
 ///
-/// Created by [`Scenario::simulate`] (or its algorithm conveniences); see the
+/// Created by [`Scenario::simulate_algorithm`] or [`Scenario::simulate_config`]; see the
 /// [module docs](self) for the lifecycle.  `'obs` is the lifetime of the registered
 /// observers — a session without observers is `Simulation<'static>`.
 pub struct Simulation<'obs> {
-    session: EngineSession,
+    engine: Engine,
     observers: Vec<&'obs mut dyn Observer>,
     started: bool,
 }
 
 impl<'obs> Simulation<'obs> {
-    pub(crate) fn start(scenario: &Scenario, scheduler: Box<dyn Scheduler>) -> Self {
+    pub(crate) fn start(scenario: &Scenario, algorithm: AlgorithmConfig) -> Self {
         Simulation {
-            session: EngineSession::new(scenario, scheduler),
+            engine: Engine::from_scenario(scenario, algorithm),
             observers: Vec::new(),
             started: false,
         }
@@ -69,7 +69,7 @@ impl<'obs> Simulation<'obs> {
     fn ensure_started(&mut self) {
         if !self.started {
             self.started = true;
-            self.session.announce_submissions(&mut self.observers);
+            self.engine.announce_submissions(&mut self.observers);
         }
     }
 
@@ -79,7 +79,7 @@ impl<'obs> Simulation<'obs> {
     /// beyond the horizon).
     pub fn step(&mut self) -> Option<SimTime> {
         self.ensure_started();
-        self.session.step(&mut self.observers)
+        self.engine.advance_window(&mut self.observers)
     }
 
     /// Execute every window *starting* at or before `until` and return how many windows ran.
@@ -89,8 +89,8 @@ impl<'obs> Simulation<'obs> {
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
         let mut delivered = 0;
-        while self.session.peek_time().is_some_and(|t| t <= until) {
-            if self.session.step(&mut self.observers).is_none() {
+        while self.engine.peek_time().is_some_and(|t| t <= until) {
+            if self.engine.advance_window(&mut self.observers).is_none() {
                 break;
             }
             delivered += 1;
@@ -101,7 +101,7 @@ impl<'obs> Simulation<'obs> {
     /// Drive the run to its horizon and return the report (the one-shot path).
     pub fn run(mut self) -> SimulationReport {
         self.ensure_started();
-        while self.session.step(&mut self.observers).is_some() {}
+        while self.engine.advance_window(&mut self.observers).is_some() {}
         self.finish()
     }
 
@@ -110,34 +110,34 @@ impl<'obs> Simulation<'obs> {
     /// short reports at its current virtual time.
     pub fn finish(mut self) -> SimulationReport {
         self.ensure_started();
-        self.session.finish(&mut self.observers)
+        self.engine.finish(&mut self.observers)
     }
 
     /// Current virtual time: the end of the last executed window.
     pub fn now(&self) -> SimTime {
-        self.session.now()
+        self.engine.now()
     }
 
     /// Start instant of the window the next [`Simulation::step`] would execute, or `None`
     /// when the run is over.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.session.peek_time()
+        self.engine.peek_time()
     }
 
     /// The run's horizon (virtual end time).
     pub fn horizon(&self) -> SimTime {
-        self.session.horizon()
+        self.engine.horizon()
     }
 
     /// A live aggregate snapshot of the grid — the same [`GridSample`] the metrics-cadence
     /// observer hook receives, computable at any point of a stepped run.
     pub fn sample(&self) -> GridSample {
-        self.session.grid_sample()
+        self.engine.grid_sample()
     }
 
-    /// Label of the scheduler driving this session (e.g. `"DSMF"`).
+    /// Label of the algorithm driving this session (e.g. `"DSMF"`).
     pub fn algorithm(&self) -> String {
-        self.session.label()
+        self.engine.algorithm().label()
     }
 
     /// Number of event-loop partitions: always 1, because the engine runs one node vector

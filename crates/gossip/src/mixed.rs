@@ -63,9 +63,11 @@ pub struct MixedGossipConfig {
     pub staleness_limit: SimDuration,
     /// Aggregation epoch length in cycles.
     pub aggregation_restart_every: u32,
-    /// Payload + header bytes per gossip message (paper: ~100 bytes).
-    pub bytes_per_message: u64,
 }
+
+/// Payload + header bytes per gossip message or aggregation exchange (paper: ~100 bytes,
+/// §IV.A).
+const BYTES_PER_MESSAGE: u64 = 100;
 
 impl Default for MixedGossipConfig {
     fn default() -> Self {
@@ -76,7 +78,6 @@ impl Default for MixedGossipConfig {
             view_size: None,
             staleness_limit: SimDuration::from_mins(30),
             aggregation_restart_every: 12,
-            bytes_per_message: 100,
         }
     }
 }
@@ -283,11 +284,11 @@ impl MixedGossip {
         );
         let agg_delta = self.agg_capacity.exchanges() + self.agg_bandwidth.exchanges() - agg_before;
 
-        // 4. Traffic accounting (~100 bytes per message / exchange, as argued in §IV.A).
+        // 4. Traffic accounting.
         self.stats.cycles += 1;
         self.stats.epidemic_messages += epidemic_delta;
         self.stats.aggregation_exchanges += agg_delta;
-        self.stats.bytes_sent += (epidemic_delta + agg_delta) * self.config.bytes_per_message;
+        self.stats.bytes_sent += (epidemic_delta + agg_delta) * BYTES_PER_MESSAGE;
     }
 
     /// Average `RSS` size over all alive nodes — the quantity plotted in Fig. 11(a).
