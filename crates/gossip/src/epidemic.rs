@@ -5,10 +5,11 @@
 //! stop being forwarded once they have travelled `ttl` hops (four in the paper), which bounds
 //! the flooding radius while still spreading state to `O(n)` nodes in `O(log n)` cycles.
 
-use crate::state::{NodeStateRecord, PeerId, ResourceStateSet};
+use crate::state::{MergeOutcome, NodeStateRecord, PeerId, ResourceStateSet};
 use crate::view::NewscastView;
 use p2pgrid_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Configuration of the epidemic gossip protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,6 +53,31 @@ pub struct EpidemicGossip {
     rss: Vec<ResourceStateSet>,
     messages_sent: u64,
     records_sent: u64,
+    counts: MergeCounts,
+    /// Per-cycle buffer, empty between cycles: every pushing sender's TTL-filtered records,
+    /// `hops + 1` applied, back to back in sender order.
+    outgoing: Vec<NodeStateRecord>,
+    /// Per-cycle buffer, empty between cycles: one entry per pushing sender, in sender order —
+    /// its slice of `outgoing` and the targets it pushes to.
+    pushes: Vec<(Range<usize>, Vec<PeerId>)>,
+}
+
+/// Deterministic work counters of the merges a cycle performs.
+#[derive(Debug, Clone, Copy, Default)]
+struct MergeCounts {
+    merges: u64,
+    changed: u64,
+    evictions: u64,
+    stale_rejects: u64,
+}
+
+impl MergeCounts {
+    fn count(&mut self, outcome: MergeOutcome) {
+        self.merges += 1;
+        self.changed += u64::from(outcome.changed());
+        self.evictions += u64::from(outcome == MergeOutcome::Evicted);
+        self.stale_rejects += u64::from(outcome == MergeOutcome::Stale);
+    }
 }
 
 impl EpidemicGossip {
@@ -64,6 +90,9 @@ impl EpidemicGossip {
                 .collect(),
             messages_sent: 0,
             records_sent: 0,
+            counts: MergeCounts::default(),
+            outgoing: Vec::new(),
+            pushes: Vec::new(),
         }
     }
 
@@ -85,6 +114,27 @@ impl EpidemicGossip {
     /// Total records carried inside those messages.
     pub fn records_sent(&self) -> u64 {
         self.records_sent
+    }
+
+    /// Total record merges so far: every pushed record plus every node's refresh of its own.
+    pub fn merges(&self) -> u64 {
+        self.counts.merges
+    }
+
+    /// Merges that changed the receiving `RSS` (inserted or replaced a record).
+    pub fn merges_changed(&self) -> u64 {
+        self.counts.changed
+    }
+
+    /// Merges that evicted the receiving `RSS`'s stalest record to make room.
+    pub fn evictions(&self) -> u64 {
+        self.counts.evictions
+    }
+
+    /// Merges into a full `RSS` rejected by its stalest-record key alone, before any lookup:
+    /// the record was not fresher than the held one, or would have been evicted on arrival.
+    pub fn stale_rejects(&self) -> u64 {
+        self.counts.stale_rejects
     }
 
     /// Drop all records describing `node` from every `RSS` (used when a node departs).
@@ -113,20 +163,23 @@ impl EpidemicGossip {
         // 1. Every alive node refreshes its own record.
         for (i, adv) in local.iter().enumerate() {
             if let Some(adv) = adv {
-                self.rss[i].merge(NodeStateRecord {
+                let own = NodeStateRecord {
                     node: i,
                     capacity_mips: adv.capacity_mips,
                     slots: adv.slots,
                     total_load_mi: adv.total_load_mi,
                     updated_at: now,
                     hops: 0,
-                });
+                };
+                self.counts.count(self.rss[i].merge_outcome(own));
             }
         }
 
-        // 2. Gather push messages (dst, record-with-incremented-hops), then apply them, so the
-        //    cycle is synchronous and borrow-friendly.
-        let mut deliveries: Vec<(PeerId, NodeStateRecord)> = Vec::new();
+        // 2. Snapshot every sender's outgoing records before any is delivered, so the cycle is
+        //    synchronous, then apply them sender by sender, target by target, record by record.
+        //    Targets are drawn for every alive sender, even one with nothing to push, which
+        //    keeps the RNG stream independent of the RSS contents.
+        let ttl = self.config.ttl;
         for (i, adv) in local.iter().enumerate() {
             if adv.is_none() {
                 continue;
@@ -136,31 +189,29 @@ impl EpidemicGossip {
             if targets.is_empty() {
                 continue;
             }
-            let outgoing: Vec<NodeStateRecord> = self.rss[i]
-                .records()
-                .filter(|r| r.hops < self.config.ttl)
-                .copied()
-                .collect();
-            if outgoing.is_empty() {
-                continue;
+            let start = self.outgoing.len();
+            for r in self.rss[i].records().filter(|r| r.hops < ttl) {
+                self.outgoing.push(NodeStateRecord {
+                    hops: r.hops + 1,
+                    ..*r
+                });
             }
-            for &t in &targets {
+            if self.outgoing.len() > start {
+                self.pushes.push((start..self.outgoing.len(), targets));
+            }
+        }
+        for (range, targets) in &self.pushes {
+            let records = &self.outgoing[range.clone()];
+            for &t in targets {
                 self.messages_sent += 1;
-                self.records_sent += outgoing.len() as u64;
-                for r in &outgoing {
-                    deliveries.push((
-                        t,
-                        NodeStateRecord {
-                            hops: r.hops + 1,
-                            ..*r
-                        },
-                    ));
+                self.records_sent += records.len() as u64;
+                for &r in records {
+                    self.counts.count(self.rss[t].merge_outcome(r));
                 }
             }
         }
-        for (dst, rec) in deliveries {
-            self.rss[dst].merge(rec);
-        }
+        self.outgoing.clear();
+        self.pushes.clear();
 
         // 3. Purge stale records and records of departed nodes.
         let limit = self.config.staleness_limit;
@@ -175,6 +226,7 @@ impl EpidemicGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::reference;
 
     fn full_views(n: usize, size: usize) -> Vec<NewscastView> {
         (0..n)
@@ -351,5 +403,212 @@ mod tests {
             assert!(gossip.rss(i).get(3).is_none());
         }
         assert!(gossip.rss(3).is_empty());
+    }
+
+    /// Hand-traced on a 3-node ring `0 -> 1 -> 2 -> 0` with fanout 1 and a one-record RSS.
+    #[test]
+    fn merge_counters_on_a_three_node_ring() {
+        let n = 3;
+        let cfg = EpidemicConfig {
+            fanout: 1,
+            rss_capacity: 1,
+            ..EpidemicConfig::default()
+        };
+        let mut gossip = EpidemicGossip::new(n, cfg);
+        let views: Vec<NewscastView> = (0..n)
+            .map(|i| {
+                let mut v = NewscastView::new(i, 1);
+                v.insert((i + 1) % n, SimTime::ZERO);
+                v
+            })
+            .collect();
+        let local = alive(n);
+        let mut rng = SimRng::seed_from_u64(7);
+        let counters = |g: &EpidemicGossip| {
+            [
+                g.merges(),
+                g.merges_changed(),
+                g.evictions(),
+                g.stale_rejects(),
+            ]
+        };
+
+        // t = 0: three own records go in.  Records 0@0 and 1@0 arrive below their receivers'
+        // own records (0@0 < 1@0 < 2@0) and are rejected; 2@0 evicts node 0's own 0@0.
+        gossip.run_cycle(SimTime::ZERO, &local, &views, &mut rng);
+        assert_eq!(counters(&gossip), [6, 4, 1, 2]);
+        // t = 10: node 0's own refresh evicts 2@0, nodes 1 and 2 replace their own.  Pushes
+        // 0@10 and 1@10 tie on time and lose on node id to 1@10 and 2@10; 2@10 evicts 0@10.
+        gossip.run_cycle(SimTime::from_secs(10), &local, &views, &mut rng);
+        assert_eq!(counters(&gossip), [12, 8, 3, 4]);
+        assert_eq!(gossip.messages_sent(), 6);
+        assert_eq!(gossip.records_sent(), 6);
+        let held: Vec<PeerId> = (0..n)
+            .map(|i| gossip.rss(i).records_sorted()[0].node)
+            .collect();
+        assert_eq!(held, vec![2, 1, 2]);
+    }
+
+    /// The cycle as it was before the push buffers: every delivery materialised in one `Vec`,
+    /// merged into `BTreeMap` sets.  The reference the rewritten cycle is checked against.
+    struct ReferenceGossip {
+        config: EpidemicConfig,
+        rss: Vec<reference::BTreeRss>,
+        messages_sent: u64,
+        records_sent: u64,
+    }
+
+    impl ReferenceGossip {
+        fn new(n: usize, config: EpidemicConfig) -> Self {
+            ReferenceGossip {
+                config,
+                rss: (0..n)
+                    .map(|_| reference::BTreeRss::new(config.rss_capacity))
+                    .collect(),
+                messages_sent: 0,
+                records_sent: 0,
+            }
+        }
+
+        fn forget_node(&mut self, node: PeerId) {
+            for rss in &mut self.rss {
+                rss.remove(node);
+            }
+            self.rss[node] = reference::BTreeRss::new(self.config.rss_capacity);
+        }
+
+        fn run_cycle(
+            &mut self,
+            now: SimTime,
+            local: &[Option<LocalAdvertisement>],
+            views: &[NewscastView],
+            rng: &mut SimRng,
+        ) {
+            for (i, adv) in local.iter().enumerate() {
+                if let Some(adv) = adv {
+                    self.rss[i].merge(NodeStateRecord {
+                        node: i,
+                        capacity_mips: adv.capacity_mips,
+                        slots: adv.slots,
+                        total_load_mi: adv.total_load_mi,
+                        updated_at: now,
+                        hops: 0,
+                    });
+                }
+            }
+            let mut deliveries: Vec<(PeerId, NodeStateRecord)> = Vec::new();
+            for (i, adv) in local.iter().enumerate() {
+                if adv.is_none() {
+                    continue;
+                }
+                let mut targets = views[i].random_peers(self.config.fanout, rng);
+                targets.retain(|&t| t != i && local[t].is_some());
+                if targets.is_empty() {
+                    continue;
+                }
+                let outgoing: Vec<NodeStateRecord> = self.rss[i]
+                    .records()
+                    .filter(|r| r.hops < self.config.ttl)
+                    .copied()
+                    .collect();
+                if outgoing.is_empty() {
+                    continue;
+                }
+                for &t in &targets {
+                    self.messages_sent += 1;
+                    self.records_sent += outgoing.len() as u64;
+                    for r in &outgoing {
+                        deliveries.push((
+                            t,
+                            NodeStateRecord {
+                                hops: r.hops + 1,
+                                ..*r
+                            },
+                        ));
+                    }
+                }
+            }
+            for (dst, rec) in deliveries {
+                self.rss[dst].merge(rec);
+            }
+            let limit = self.config.staleness_limit;
+            for (i, rss) in self.rss.iter_mut().enumerate() {
+                if local[i].is_some() {
+                    rss.purge(now, limit, &|p| local[p].is_none());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cycle_matches_the_delivery_buffer_reference_under_churn() {
+        let n = 64;
+        let cfg = EpidemicConfig {
+            fanout: 6,
+            rss_capacity: 8,
+            ..EpidemicConfig::default()
+        };
+        let mut gossip = EpidemicGossip::new(n, cfg);
+        let mut oracle = ReferenceGossip::new(n, cfg);
+        let mut world = SimRng::seed_from_u64(8);
+        let mut views: Vec<NewscastView> = (0..n)
+            .map(|i| {
+                let mut v = NewscastView::new(i, 12);
+                for _ in 0..12 {
+                    v.insert(world.gen_range(0..n), SimTime::ZERO);
+                }
+                v
+            })
+            .collect();
+        let mut local = alive(n);
+        let (mut rng, mut oracle_rng) = (SimRng::seed_from_u64(9), SimRng::seed_from_u64(9));
+        for cycle in 0..20u64 {
+            // Departures at cycles 5 and 12, and the first batch rejoins at cycle 15.
+            if cycle == 5 || cycle == 12 {
+                for node in world.choose_multiple(&(0..n).collect::<Vec<_>>(), 6) {
+                    local[*node] = None;
+                    gossip.forget_node(*node);
+                    oracle.forget_node(*node);
+                }
+            }
+            if cycle == 15 {
+                local = alive(n);
+            }
+            // Vary the load so fresher records carry new values.
+            for (i, adv) in local.iter_mut().enumerate() {
+                if let Some(adv) = adv {
+                    adv.total_load_mi = (cycle * 7 + i as u64) as f64;
+                }
+            }
+            let now = SimTime::from_secs(cycle * 300);
+            for i in 0..n {
+                let p = views[i].random_peer(&mut world).unwrap_or(i);
+                if p != i {
+                    let (a, b) = if i < p {
+                        let (lo, hi) = views.split_at_mut(p);
+                        (&mut lo[i], &mut hi[0])
+                    } else {
+                        let (lo, hi) = views.split_at_mut(i);
+                        (&mut hi[0], &mut lo[p])
+                    };
+                    NewscastView::exchange(a, b, now);
+                }
+            }
+            gossip.run_cycle(now, &local, &views, &mut rng);
+            oracle.run_cycle(now, &local, &views, &mut oracle_rng);
+            for i in 0..n {
+                assert!(
+                    gossip.rss(i).records().eq(oracle.rss[i].records()),
+                    "cycle {cycle}: node {i}'s RSS differs from the reference"
+                );
+            }
+            assert_eq!(
+                gossip.messages_sent(),
+                oracle.messages_sent,
+                "cycle {cycle}"
+            );
+            assert_eq!(gossip.records_sent(), oracle.records_sent, "cycle {cycle}");
+        }
+        assert!(gossip.evictions() > 0 && gossip.stale_rejects() > 0);
     }
 }

@@ -2,7 +2,6 @@
 
 use p2pgrid_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifier of a peer node (dense index, shared with `p2pgrid-topology`).
 pub type PeerId = usize;
@@ -50,22 +49,49 @@ impl NodeStateRecord {
 /// than the configured staleness limit, which together keep the per-node space complexity at
 /// `O(log n)` as claimed in Section III and measured in Fig. 11(a).
 ///
-/// Records are stored in a `BTreeMap`, so iteration is *always* in ascending node-id order —
-/// the deterministic order scheduling decisions need.  The schedulers read the set every
-/// scheduling cycle, so keeping it sorted incrementally (`O(log n)` per merge over the ~log n
-/// records) beats the old clone-and-sort on every read.
+/// Records are stored in a `Vec` sorted by node id, so iteration is *always* in ascending
+/// node-id order — the deterministic order scheduling decisions need — and lookups are a
+/// binary search over the ~log n records.  While the set is full it also tracks its stalest
+/// record, the next eviction victim: most records a node receives are staler than that one,
+/// and [`ResourceStateSet::merge`] rejects them with one comparison.
 #[derive(Debug, Clone)]
 pub struct ResourceStateSet {
-    records: BTreeMap<PeerId, NodeStateRecord>,
+    records: Vec<NodeStateRecord>,
     capacity: usize,
+    /// Index of the record with the least `(updated_at, node)` key; kept only while
+    /// `records.len() == capacity`.  `purge` and `remove` either remove nothing or leave the
+    /// set below capacity, so only `merge` updates it.
+    stalest: usize,
+}
+
+/// What one merge did to a [`ResourceStateSet`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MergeOutcome {
+    /// The set is full and the record is staler than its stalest record: either the node's
+    /// held record is fresher, or the record would be evicted on arrival.
+    Stale,
+    /// The held record for the node is at least as fresh.
+    NotFresher,
+    /// Inserted or replaced a record without evicting one.
+    Changed,
+    /// Inserted a record and evicted the stalest held one.
+    Evicted,
+}
+
+impl MergeOutcome {
+    /// True if the merge changed the set.
+    pub(crate) fn changed(self) -> bool {
+        matches!(self, MergeOutcome::Changed | MergeOutcome::Evicted)
+    }
 }
 
 impl ResourceStateSet {
     /// Create an empty set bounded to `capacity` records.
     pub fn new(capacity: usize) -> Self {
         ResourceStateSet {
-            records: BTreeMap::new(),
+            records: Vec::new(),
             capacity: capacity.max(1),
+            stalest: 0,
         }
     }
 
@@ -86,31 +112,66 @@ impl ResourceStateSet {
 
     /// The record for `node`, if known.
     pub fn get(&self, node: PeerId) -> Option<&NodeStateRecord> {
-        self.records.get(&node)
+        self.position(node).ok().map(|i| &self.records[i])
     }
 
     /// Iterate over all known records, always in ascending node-id order.
     pub fn records(&self) -> impl Iterator<Item = &NodeStateRecord> {
-        self.records.values()
+        self.records.iter()
     }
 
     /// Known records sorted by node id (deterministic order for scheduling decisions).
     ///
-    /// The map maintains this order incrementally, so this is a plain copy — no per-call
-    /// re-sort.  Prefer [`ResourceStateSet::records`] when borrowing suffices.
+    /// The set is kept in this order, so this is a plain copy — no per-call re-sort.  Prefer
+    /// [`ResourceStateSet::records`] when borrowing suffices.
     pub fn records_sorted(&self) -> Vec<NodeStateRecord> {
-        self.records.values().copied().collect()
+        self.records.clone()
     }
 
     /// Insert or refresh a record.  A record only replaces an existing one for the same node if
-    /// it is strictly fresher.  Returns `true` if the set changed.
+    /// it is strictly fresher; when the set is full, the stalest record by `(updated_at, node)`
+    /// is evicted, which may be the new record itself.  Returns `true` if the set changed.
     pub fn merge(&mut self, record: NodeStateRecord) -> bool {
-        match self.records.get(&record.node) {
-            Some(existing) if existing.updated_at >= record.updated_at => false,
-            _ => {
-                self.records.insert(record.node, record);
-                self.enforce_capacity();
-                true
+        self.merge_outcome(record).changed()
+    }
+
+    /// [`ResourceStateSet::merge`], reporting what happened.
+    pub(crate) fn merge_outcome(&mut self, record: NodeStateRecord) -> MergeOutcome {
+        let full = self.records.len() == self.capacity;
+        // A held record of the same node has a key at least the stalest one, so a key at or
+        // below it is either not fresher than the held record or the eviction victim itself.
+        if full && stale_key(&record) <= stale_key(&self.records[self.stalest]) {
+            return MergeOutcome::Stale;
+        }
+        match self.position(record.node) {
+            Ok(i) => {
+                if self.records[i].updated_at >= record.updated_at {
+                    return MergeOutcome::NotFresher;
+                }
+                self.records[i] = record;
+                if full && i == self.stalest {
+                    self.stalest = self.find_stalest();
+                }
+                MergeOutcome::Changed
+            }
+            Err(i) if !full => {
+                self.records.insert(i, record);
+                if self.records.len() == self.capacity {
+                    self.stalest = self.find_stalest();
+                }
+                MergeOutcome::Changed
+            }
+            Err(i) => {
+                // Overwrite the victim's slot and rotate the record into sorted position.
+                let victim = self.stalest;
+                self.records[victim] = record;
+                if victim < i {
+                    self.records[victim..i].rotate_left(1);
+                } else {
+                    self.records[i..=victim].rotate_right(1);
+                }
+                self.stalest = self.find_stalest();
+                MergeOutcome::Evicted
             }
         }
     }
@@ -118,26 +179,104 @@ impl ResourceStateSet {
     /// Remove every record older than `limit` relative to `now`, and any record describing a
     /// node in `departed`.
     pub fn purge(&mut self, now: SimTime, limit: SimDuration, departed: &dyn Fn(PeerId) -> bool) {
-        self.records.retain(|&node, r| {
-            !departed(node) && now.saturating_duration_since(r.updated_at) <= limit
-        });
+        self.records
+            .retain(|r| !departed(r.node) && now.saturating_duration_since(r.updated_at) <= limit);
     }
 
     /// Remove the record for a specific node (e.g. observed to have churned away).
     pub fn remove(&mut self, node: PeerId) {
-        self.records.remove(&node);
+        if let Ok(i) = self.position(node) {
+            self.records.remove(i);
+        }
     }
 
-    fn enforce_capacity(&mut self) {
-        while self.records.len() > self.capacity {
-            // Evict the stalest record; ties broken by node id for determinism.
-            let victim = self
-                .records
-                .values()
-                .min_by_key(|r| (r.updated_at, r.node))
-                .map(|r| r.node)
-                .expect("set is non-empty");
-            self.records.remove(&victim);
+    fn position(&self, node: PeerId) -> Result<usize, usize> {
+        self.records.binary_search_by_key(&node, |r| r.node)
+    }
+
+    fn find_stalest(&self) -> usize {
+        (0..self.records.len())
+            .min_by_key(|&i| stale_key(&self.records[i]))
+            .expect("a full set is non-empty")
+    }
+}
+
+/// Eviction order: stalest first, ties broken by node id for determinism.
+fn stale_key(record: &NodeStateRecord) -> (SimTime, PeerId) {
+    (record.updated_at, record.node)
+}
+
+/// The `BTreeMap` resource state set the sorted `Vec` replaced, kept as a reference model
+/// for the tests: the simplest correct statement of the merge, eviction and purge rules.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::{NodeStateRecord, PeerId};
+    use p2pgrid_sim::{SimDuration, SimTime};
+    use std::collections::BTreeMap;
+
+    #[derive(Debug, Clone)]
+    pub(crate) struct BTreeRss {
+        records: BTreeMap<PeerId, NodeStateRecord>,
+        capacity: usize,
+    }
+
+    impl BTreeRss {
+        pub(crate) fn new(capacity: usize) -> Self {
+            BTreeRss {
+                records: BTreeMap::new(),
+                capacity: capacity.max(1),
+            }
+        }
+
+        pub(crate) fn len(&self) -> usize {
+            self.records.len()
+        }
+
+        pub(crate) fn get(&self, node: PeerId) -> Option<&NodeStateRecord> {
+            self.records.get(&node)
+        }
+
+        pub(crate) fn records(&self) -> impl Iterator<Item = &NodeStateRecord> {
+            self.records.values()
+        }
+
+        /// Returns `true` if the set changed: not when the record was evicted on arrival.
+        pub(crate) fn merge(&mut self, record: NodeStateRecord) -> bool {
+            match self.records.get(&record.node) {
+                Some(existing) if existing.updated_at >= record.updated_at => false,
+                _ => {
+                    self.records.insert(record.node, record);
+                    self.enforce_capacity();
+                    self.records.contains_key(&record.node)
+                }
+            }
+        }
+
+        pub(crate) fn purge(
+            &mut self,
+            now: SimTime,
+            limit: SimDuration,
+            departed: &dyn Fn(PeerId) -> bool,
+        ) {
+            self.records.retain(|&node, r| {
+                !departed(node) && now.saturating_duration_since(r.updated_at) <= limit
+            });
+        }
+
+        pub(crate) fn remove(&mut self, node: PeerId) {
+            self.records.remove(&node);
+        }
+
+        fn enforce_capacity(&mut self) {
+            while self.records.len() > self.capacity {
+                let victim = self
+                    .records
+                    .values()
+                    .min_by_key(|r| (r.updated_at, r.node))
+                    .map(|r| r.node)
+                    .expect("set is non-empty");
+                self.records.remove(&victim);
+            }
         }
     }
 }
@@ -204,6 +343,17 @@ mod tests {
         assert_eq!(rss.len(), 3);
         assert!(rss.get(1).is_none(), "the stalest record must be evicted");
         assert!(rss.get(4).is_some());
+    }
+
+    #[test]
+    fn merge_that_evicts_its_own_record_reports_no_change() {
+        let mut rss = ResourceStateSet::new(1);
+        assert!(rss.merge(rec(1, 10)));
+        assert!(
+            !rss.merge(rec(2, 5)),
+            "a record evicted as the stalest on arrival leaves the set unchanged"
+        );
+        assert_eq!(rss.records_sorted(), vec![rec(1, 10)]);
     }
 
     #[test]
@@ -275,5 +425,56 @@ mod tests {
         rss.remove(1);
         assert!(rss.is_empty());
         assert_eq!(rss.capacity(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Random merge / purge / remove sequences leave the sorted `Vec` and the `BTreeMap`
+        /// reference in the same state after every operation.  Twelve timestamps over sixteen
+        /// nodes make `(updated_at, node)` ties common.
+        #[test]
+        fn sorted_vec_matches_the_btreemap_reference(
+            capacity in 1usize..9,
+            ops in proptest::collection::vec(0u64..1_920, 1..200),
+        ) {
+            let mut rss = ResourceStateSet::new(capacity);
+            let mut oracle = reference::BTreeRss::new(capacity);
+            for op in ops {
+                let (kind, node, t) = (op % 10, (op / 10 % 16) as PeerId, op / 160);
+                match kind {
+                    0 => {
+                        let departed = |p: PeerId| p == node;
+                        let limit = SimDuration::from_secs(t);
+                        rss.purge(SimTime::from_secs(12), limit, &departed);
+                        oracle.purge(SimTime::from_secs(12), limit, &departed);
+                    }
+                    1 => {
+                        rss.remove(node);
+                        oracle.remove(node);
+                    }
+                    _ => {
+                        let record = NodeStateRecord {
+                            hops: kind as u32,
+                            ..rec(node, t)
+                        };
+                        let held = oracle.get(node).is_some();
+                        let full = oracle.len() == capacity;
+                        let changed = oracle.merge(record);
+                        let outcome = rss.merge_outcome(record);
+                        proptest::prop_assert_eq!(outcome.changed(), changed, "merge {:?}", record);
+                        proptest::prop_assert_eq!(
+                            outcome == MergeOutcome::Evicted,
+                            changed && full && !held
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(rss.len(), oracle.len());
+                proptest::prop_assert!(rss.records().eq(oracle.records()));
+                for p in 0..16 {
+                    proptest::prop_assert_eq!(rss.get(p), oracle.get(p));
+                }
+            }
+        }
     }
 }

@@ -96,9 +96,9 @@ impl NewscastView {
     /// Perform the Newscast exchange between two views: each side learns the other's entries
     /// (plus a fresh descriptor of the counterpart itself) and keeps its freshest `size`.
     pub fn exchange(a: &mut NewscastView, b: &mut NewscastView, now: SimTime) {
+        // `b` is read in place while `a` changes; only `a`'s pre-exchange entries need a copy.
         let a_entries = a.entries.clone();
-        let b_entries = b.entries.clone();
-        for (p, t) in b_entries {
+        for &(p, t) in &b.entries {
             a.insert(p, t);
         }
         a.insert(b.owner, now);
@@ -181,5 +181,42 @@ mod tests {
         let empty = NewscastView::new(9, 4);
         assert!(empty.random_peer(&mut rng).is_none());
         assert!(empty.random_peers(3, &mut rng).is_empty());
+    }
+
+    #[test]
+    fn exchange_keeps_the_entry_order_of_a_two_snapshot_exchange() {
+        // `random_peer` picks by index, so the entry order after an exchange is observable.
+        // Reference: both views snapshotted before either changes.
+        fn reference(a: &mut NewscastView, b: &mut NewscastView, now: SimTime) {
+            let (a_entries, b_entries) = (a.entries.clone(), b.entries.clone());
+            for (p, t) in b_entries {
+                a.insert(p, t);
+            }
+            a.insert(b.owner, now);
+            for (p, t) in a_entries {
+                b.insert(p, t);
+            }
+            b.insert(a.owner, now);
+        }
+        let mut rng = SimRng::seed_from_u64(11);
+        for round in 0..200u64 {
+            let mut a = NewscastView::new(0, 6);
+            let mut b = NewscastView::new(1, 6);
+            for _ in 0..rng.gen_range(0usize..10) {
+                a.insert(
+                    rng.gen_range(0usize..12),
+                    SimTime::from_secs(rng.gen_range(0u64..5)),
+                );
+                b.insert(
+                    rng.gen_range(0usize..12),
+                    SimTime::from_secs(rng.gen_range(0u64..5)),
+                );
+            }
+            let (mut ra, mut rb) = (a.clone(), b.clone());
+            NewscastView::exchange(&mut a, &mut b, SimTime::from_secs(3));
+            reference(&mut ra, &mut rb, SimTime::from_secs(3));
+            assert_eq!(a.entries, ra.entries, "round {round}");
+            assert_eq!(b.entries, rb.entries, "round {round}");
+        }
     }
 }
