@@ -305,11 +305,13 @@ pub mod json {
 
         /// Write one value as a single `\n`-terminated compact JSON line and flush.
         pub fn write(&mut self, value: &Value) -> std::io::Result<()> {
-            let line = value
+            let mut line = value
                 .to_wire_string()
                 .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+            // One `write_all` per line: on a socket, a separate one-byte `\n` write would sit
+            // behind Nagle's algorithm until the peer's delayed ACK arrives.
+            line.push('\n');
             self.inner.write_all(line.as_bytes())?;
-            self.inner.write_all(b"\n")?;
             self.inner.flush()
         }
 
@@ -770,6 +772,39 @@ pub mod json {
                 Some(Value::object([("k", Value::from(1u64))]))
             );
             assert!(read_ndjson_line(&mut r).is_err());
+        }
+
+        #[test]
+        fn ndjson_writer_issues_one_write_per_line() {
+            /// A sink that takes every buffer whole and counts the calls.
+            #[derive(Default)]
+            struct CountingSink {
+                writes: usize,
+                flushes: usize,
+                bytes: Vec<u8>,
+            }
+            impl std::io::Write for CountingSink {
+                fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                    self.writes += 1;
+                    self.bytes.extend_from_slice(buf);
+                    Ok(buf.len())
+                }
+                fn flush(&mut self) -> std::io::Result<()> {
+                    self.flushes += 1;
+                    Ok(())
+                }
+            }
+            let short = Value::object([("op", Value::from("pull"))]);
+            let long = Value::from("x".repeat(70_000));
+            let mut w = NdjsonWriter::new(CountingSink::default());
+            w.write(&short).unwrap();
+            assert_eq!((w.inner.writes, w.inner.flushes), (1, 1));
+            w.write(&long).unwrap();
+            assert_eq!((w.inner.writes, w.inner.flushes), (2, 2));
+            let sink = w.into_inner();
+            let expected = format!("{short}\n{long}\n");
+            assert!(expected.len() > 64 << 10);
+            assert_eq!(sink.bytes, expected.as_bytes());
         }
 
         #[test]

@@ -4,6 +4,12 @@
 //! `NdjsonWriter`/`read_ndjson_line` pair the `repro --json` stream uses, and wire-strict
 //! (non-finite numbers are rejected at the serializer, never silently nulled on the socket).
 //!
+//! Framing contract: every message, newline included, leaves in one `write_all`, and both
+//! ends set `TCP_NODELAY` (the client in [`TcpTransport::from_stream`], the master on each
+//! accepted stream).  The protocol is strict request/response, so no message may wait for
+//! the peer's delayed ACK: with Nagle's algorithm on, a second small write, or the tail of
+//! a message longer than one segment, would stall each round trip by ~40 ms.
+//!
 //! [`serve`] runs the master accept loop; [`TcpTransport`] is the client side.  A dropped
 //! worker connection declares that worker dead immediately (faster than the heartbeat
 //! timeout); a silent-but-connected worker is caught by the periodic expiry tick.
@@ -36,8 +42,9 @@ impl TcpTransport {
         Self::from_stream(stream)
     }
 
-    /// Wrap an already-connected stream.
+    /// Wrap an already-connected stream, turning Nagle's algorithm off on it.
     pub fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(TcpTransport {
             reader,
@@ -115,6 +122,7 @@ pub fn serve(listener: TcpListener, config: MasterConfig) -> std::io::Result<()>
 /// worker dead and requeues its units.
 fn handle_connection(server: &Server, stream: TcpStream) -> std::io::Result<()> {
     let local_addr = stream.local_addr()?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = NdjsonWriter::new(stream);
     let mut owner = None;
